@@ -3,51 +3,38 @@
 The library identifies sparse multipath MIMO channels with a family of
 normalized LMS adaptive filters (plain NLMS plus fractional-norm and
 zero-attracting sparse variants) and reproduces their Monte-Carlo MSE
-learning curves over a seeded parameter grid. See the ``sparsemimo``
-command-line tool for batch runs.
+learning curves over a seeded parameter grid. Its data are plain arrays: a
+channel is an ``(nr, nt * L)`` array, a regressor an ``nt * L`` vector, and
+an update rule a pure function of them. See the ``sparsemimo`` command-line
+tool for batch runs.
 """
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelVector,
-    MimoChannel,
-    assemble_mimo_channel,
-    generate_sparse_channel,
-    miso_row,
-)
+from .channel import assemble_mimo_channel, generate_sparse_channel
 from .signal import (
     GENERATOR_KINDS,
-    NoiseModel,
-    Regressor,
     TrainingGenerator,
     ofdm_time_samples,
-    push_regressor,
     snr_to_variance,
-    system_output,
     variance_to_snr,
 )
 from .estimator import (
     ALGORITHMS,
-    DivergenceError,
-    EstimatorState,
     HyperParams,
-    error,
     j_attractor,
-    l0_approx_norm,
-    l0_exponential_attractor,
     l0_nlms_update,
     lms_update,
     lp_attractor,
     lp_norm,
     lp_nlms_update,
     nlms_update,
-    predict,
     update,
 )
 from .experiment import (
     CellConfig,
     CellKey,
+    DivergenceError,
     ExperimentConfig,
     ExperimentError,
     GridResult,
@@ -64,36 +51,24 @@ __all__ = [
     "__version__",
     "ALGORITHMS",
     "GENERATOR_KINDS",
-    "ChannelVector",
-    "MimoChannel",
     "assemble_mimo_channel",
     "generate_sparse_channel",
-    "miso_row",
-    "NoiseModel",
-    "Regressor",
     "TrainingGenerator",
     "ofdm_time_samples",
-    "push_regressor",
     "snr_to_variance",
-    "system_output",
     "variance_to_snr",
-    "DivergenceError",
-    "EstimatorState",
     "HyperParams",
-    "error",
     "j_attractor",
-    "l0_approx_norm",
-    "l0_exponential_attractor",
     "l0_nlms_update",
     "lms_update",
     "lp_attractor",
     "lp_norm",
     "lp_nlms_update",
     "nlms_update",
-    "predict",
     "update",
     "CellConfig",
     "CellKey",
+    "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
     "GridResult",

@@ -2,85 +2,27 @@
 
 Every transmit/receive antenna pair is linked by an ``L``-tap impulse
 response carrying exactly ``K`` nonzero (dominant) taps at random positions.
-Each realization is rescaled to unit energy so the received SNR is governed
-solely by the configured noise variance.
+Each link is rescaled to unit energy so the received SNR is governed solely
+by the configured noise variance.
+
+A MIMO channel is one ``(nr, nt * L)`` float64 array. Row ``r`` is the MISO
+row that receive antenna ``r`` identifies: its links concatenated in
+transmit-antenna order, so ``rows[r, t * L + l]`` is tap ``l`` of the link
+from transmit antenna ``t``. The support of a link is
+``np.flatnonzero(taps)``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "ChannelVector",
-    "MimoChannel",
     "generate_sparse_channel",
     "assemble_mimo_channel",
-    "miso_row",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelVector:
-    """One impulse response between a transmit/receive antenna pair.
-
-    ``support`` is derived from the taps and lists the indices of the
-    nonzero entries in ascending order. The tap array is read-only so that
-    realizations can be shared across concurrent workers.
-    """
-
-    taps: np.ndarray
-    support: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        taps = np.array(self.taps, dtype=np.float64)
-        if taps.ndim != 1 or taps.size == 0:
-            raise ValueError("taps must be a non-empty 1-D vector")
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "support", tuple(np.flatnonzero(taps).tolist()))
-
-    @property
-    def length(self) -> int:
-        return self.taps.size
-
-
-@dataclass(frozen=True, eq=False)
-class MimoChannel:
-    """Grid of per-link channel vectors, ``links[rx][tx]``.
-
-    ``row_matrix`` stacks, per receive antenna, the concatenation of that
-    antenna's link vectors in transmit-antenna order; shape
-    ``(nr_count, nt_count * L)``. It is the ground truth each adaptive
-    estimator identifies, one row per receive antenna.
-    """
-
-    links: tuple[tuple[ChannelVector, ...], ...]
-    nt_count: int
-    nr_count: int
-    row_matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        links = tuple(tuple(row) for row in self.links)
-        if len(links) != self.nr_count:
-            raise ValueError("links row count does not match nr_count")
-        if any(len(row) != self.nt_count for row in links):
-            raise ValueError("links column count does not match nt_count")
-        lengths = {vec.length for row in links for vec in row}
-        if len(lengths) != 1:
-            raise ValueError("all links must share one tap count")
-        rows = np.stack([np.concatenate([vec.taps for vec in row]) for row in links])
-        rows.flags.writeable = False
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "row_matrix", rows)
-
-    @property
-    def tap_count(self) -> int:
-        return self.links[0][0].length
-
-
-def generate_sparse_channel(length: int, sparsity: int, rng: np.random.Generator) -> ChannelVector:
-    """Draw one unit-norm sparse impulse response.
+def generate_sparse_channel(length: int, sparsity: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one unit-norm sparse impulse response, a 1-D array of ``length`` taps.
 
     Parameters
     ----------
@@ -106,31 +48,14 @@ def generate_sparse_channel(length: int, sparsity: int, rng: np.random.Generator
     values /= np.linalg.norm(values)
     taps = np.zeros(length)
     taps[positions] = values
-    return ChannelVector(taps)
+    return taps
 
 
 def assemble_mimo_channel(
     nt: int, nr: int, length: int, sparsity: int, rng: np.random.Generator
-) -> MimoChannel:
-    """Draw all nr*nt links independently (row-major: rx outer, tx inner)."""
+) -> np.ndarray:
+    """Draw all nr*nt links independently (rx outer, tx inner); ``(nr, nt * L)`` rows."""
     if nt < 1 or nr < 1:
         raise ValueError("antenna counts must be at least 1")
-    links = tuple(
-        tuple(generate_sparse_channel(length, sparsity, rng) for _ in range(nt))
-        for _ in range(nr)
-    )
-    return MimoChannel(links, nt_count=nt, nr_count=nr)
-
-
-def miso_row(channel: MimoChannel, receive_index: int) -> np.ndarray:
-    """Concatenated channel vectors arriving at one receive antenna.
-
-    Layout is transmit-antenna-major, tap-minor:
-    ``row[tx * L + l] == links[receive_index][tx].taps[l]``. Returns a
-    writable copy, never a view of the channel's internal state.
-    """
-    if not 0 <= receive_index < channel.nr_count:
-        raise IndexError(
-            f"receive_index {receive_index} out of range [0, {channel.nr_count})"
-        )
-    return channel.row_matrix[receive_index].copy()
+    links = [generate_sparse_channel(length, sparsity, rng) for _ in range(nr * nt)]
+    return np.concatenate(links).reshape(nr, nt * length)

@@ -1,6 +1,9 @@
 """Adaptive update rules for identifying one MISO channel row.
 
-Four algorithms share a single state/update contract:
+Each rule is a pure array function ``rule(hyper, h, x, e) -> h``: it takes
+the current estimate ``h``, the regressor ``x`` and the a-priori error
+``e = y - h @ x`` and returns the next estimate. ``hyper.algorithm`` names
+the rule and :func:`update` dispatches on it.
 
 * ``lms``      plain stochastic gradient,   h += mu * e * x
 * ``nlms``     step normalized by the regressor energy,
@@ -14,7 +17,11 @@ The sparse variants subtract the gradient of their sparsity penalty,
 evaluated at the pre-update estimate, so small taps are dragged toward
 zero while dominant taps are left to the normalized gradient step. The
 smooth exponential attractor (the exact penalty gradient that the
-piecewise rule approximates) is kept as an oracle for testing.
+piecewise rule approximates) and its penalty are kept as test oracles.
+
+The rules do not check their arguments or the finiteness of the result:
+``ExperimentConfig`` validates the knobs once, and a run checks its
+squared error once per iteration.
 """
 from __future__ import annotations
 
@@ -22,16 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Regressor
-
 __all__ = [
     "ALGORITHMS",
     "NLMS_DELTA",
-    "DivergenceError",
     "HyperParams",
-    "EstimatorState",
-    "predict",
-    "error",
     "update",
     "lms_update",
     "nlms_update",
@@ -39,9 +40,7 @@ __all__ = [
     "l0_nlms_update",
     "lp_norm",
     "lp_attractor",
-    "l0_approx_norm",
     "j_attractor",
-    "l0_exponential_attractor",
 ]
 
 ALGORITHMS = ("lms", "nlms", "lp_nlms", "l0_nlms")
@@ -50,19 +49,9 @@ ALGORITHMS = ("lms", "nlms", "lp_nlms", "l0_nlms")
 NLMS_DELTA = 1e-12
 
 
-def _quiet():
-    # Divergence shows up as overflow/invalid and is reported via
-    # DivergenceError; errstate instances are single-use in numpy >= 2.
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-class DivergenceError(RuntimeError):
-    """An update produced a non-finite estimate; the run must be aborted."""
-
-
 @dataclass(frozen=True)
 class HyperParams:
-    """Step size and sparsity-penalty knobs shared by all update rules.
+    """Full description of one update rule: its name and its knobs.
 
     ``lambda_lp``/``lambda_l0`` weigh the sparsity penalties; the effective
     attractor strengths are ``rho_lp = mu * lambda_lp`` and
@@ -71,24 +60,13 @@ class HyperParams:
     ``1/beta`` is the half-width of the piecewise attractor's active band.
     """
 
+    algorithm: str = "nlms"
     mu: float = 0.5
     lambda_lp: float = 0.0
     lambda_l0: float = 0.0
     p: float = 0.45
     epsilon: float = 0.02
     beta: float = 15.0
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lambda_lp < 0 or self.lambda_l0 < 0:
-            raise ValueError("regularization weights must be nonnegative")
-        if not 0 < self.p <= 1:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
 
     @property
     def rho_lp(self) -> float:
@@ -99,60 +77,18 @@ class HyperParams:
         return self.mu * self.lambda_l0
 
 
-@dataclass(frozen=True, eq=False)
-class EstimatorState:
-    """Current estimate of one MISO row plus the rule that updates it."""
-
-    estimate: np.ndarray
-    algorithm: str
-    hyper: HyperParams
-
-    @classmethod
-    def initial(cls, size: int, algorithm: str, hyper: HyperParams) -> "EstimatorState":
-        """All-zero cold start of the given length."""
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-        if algorithm != "lms" and not hyper.mu < 2.0:
-            raise ValueError(f"normalized algorithms require mu in (0, 2), got {hyper.mu}")
-        return cls(np.zeros(size), algorithm, hyper)
+def lms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
+    return h + hyper.mu * e * x
 
 
-def _advance(state: EstimatorState, estimate: np.ndarray) -> EstimatorState:
-    if not np.isfinite(estimate).all():
-        raise DivergenceError(f"{state.algorithm} estimate left the finite range")
-    return EstimatorState(estimate, state.algorithm, state.hyper)
-
-
-def predict(state: EstimatorState, x: Regressor) -> float:
-    """Filter output for the current estimate: dot(estimate, x)."""
-    if state.estimate.size != x.stacked.size:
-        raise ValueError(
-            f"estimate length {state.estimate.size} does not match regressor length {x.stacked.size}"
-        )
-    return float(state.estimate @ x.stacked)
-
-
-def error(y: float, y_hat: float) -> float:
-    """A-priori estimation error e = y - y_hat."""
-    return float(y) - float(y_hat)
-
-
-def lms_update(state: EstimatorState, x: Regressor, e: float) -> EstimatorState:
-    with _quiet():
-        estimate = state.estimate + state.hyper.mu * e * x.stacked
-    return _advance(state, estimate)
-
-
-def nlms_update(state: EstimatorState, x: Regressor, e: float, delta: float = NLMS_DELTA) -> EstimatorState:
+def nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
+                delta: float = NLMS_DELTA) -> np.ndarray:
     """Energy-normalized gradient step; scale-invariant in (x, y)."""
-    xs = x.stacked
-    with _quiet():
-        den = delta + float(xs @ xs)
-        if den == 0.0:
-            # all-zero regressor and no guard: nothing to learn from
-            return state
-        estimate = state.estimate + (state.hyper.mu * e / den) * xs
-    return _advance(state, estimate)
+    den = delta + float(x @ x)
+    if den == 0.0:
+        # all-zero regressor and no guard: nothing to learn from
+        return h
+    return h + (hyper.mu * e / den) * x
 
 
 def lp_norm(h, p: float) -> float:
@@ -179,13 +115,9 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     return scale * np.sign(h) / (epsilon + np.abs(h) ** (1.0 - p))
 
 
-def lp_nlms_update(state: EstimatorState, x: Regressor, e: float) -> EstimatorState:
+def lp_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
     """NLMS step minus rho_lp times the fractional-norm attractor."""
-    hp = state.hyper
-    base = nlms_update(state, x, e)
-    with _quiet():
-        estimate = base.estimate - hp.rho_lp * lp_attractor(state.estimate, hp.p, hp.epsilon)
-    return _advance(state, estimate)
+    return nlms_update(hyper, h, x, e) - hyper.rho_lp * lp_attractor(h, hyper.p, hyper.epsilon)
 
 
 def l0_approx_norm(h, beta: float) -> float:
@@ -222,13 +154,9 @@ def j_attractor(h, beta: float) -> np.ndarray:
     return np.where(inside, 2.0 * beta * np.sign(h) - 2.0 * beta**2 * h, 0.0)
 
 
-def l0_nlms_update(state: EstimatorState, x: Regressor, e: float) -> EstimatorState:
+def l0_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
     """NLMS step minus rho_l0 times the banded attractor."""
-    hp = state.hyper
-    base = nlms_update(state, x, e)
-    with _quiet():
-        estimate = base.estimate - hp.rho_l0 * j_attractor(state.estimate, hp.beta)
-    return _advance(state, estimate)
+    return nlms_update(hyper, h, x, e) - hyper.rho_l0 * j_attractor(h, hyper.beta)
 
 
 _UPDATES = {
@@ -239,12 +167,12 @@ _UPDATES = {
 }
 
 
-def update(state: EstimatorState, x: Regressor, e: float) -> EstimatorState:
-    """Apply the state's own update rule; the common entry point."""
+def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
+    """Apply the rule ``hyper.algorithm`` names; the common entry point."""
     try:
-        rule = _UPDATES[state.algorithm]
+        rule = _UPDATES[hyper.algorithm]
     except KeyError:
         raise ValueError(
-            f"unknown algorithm {state.algorithm!r}; expected one of {ALGORITHMS}"
+            f"unknown algorithm {hyper.algorithm!r}; expected one of {ALGORITHMS}"
         ) from None
-    return rule(state, x, e)
+    return rule(hyper, h, x, e)

@@ -13,28 +13,21 @@ import hashlib
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import MimoChannel, assemble_mimo_channel
-from .estimator import ALGORITHMS, DivergenceError, EstimatorState, HyperParams, error, predict, update
-from .signal import (
-    GENERATOR_KINDS,
-    NoiseModel,
-    Regressor,
-    TrainingGenerator,
-    push_regressor,
-    snr_to_variance,
-    system_output,
-)
+from .channel import assemble_mimo_channel
+from .estimator import ALGORITHMS, HyperParams, update
+from .signal import GENERATOR_KINDS, TrainingGenerator, snr_to_variance
 
 __all__ = [
     "LAMBDA_LP_NOISE_RATIO",
     "LAMBDA_L0_NOISE_RATIO",
     "CellKey",
     "CellConfig",
+    "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
     "MseTrace",
@@ -60,6 +53,10 @@ class ExperimentError(RuntimeError):
     """Raised when an experiment produces nothing to average."""
 
 
+class DivergenceError(RuntimeError):
+    """A run's squared error left the finite range; the run must be aborted."""
+
+
 class CellKey(NamedTuple):
     """Identity of one grid cell."""
 
@@ -73,7 +70,11 @@ class CellKey(NamedTuple):
 
 @dataclass(frozen=True)
 class CellConfig:
-    """Fully resolved scalar parameters for one grid cell."""
+    """Fully resolved scalar parameters for one grid cell.
+
+    ``hyper`` carries the cell's step size and penalty knobs; the algorithm
+    is given to :func:`run_single` separately, which completes it.
+    """
 
     nt: int
     nr: int
@@ -230,7 +231,7 @@ def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -
     )
 
 
-def _make_channel(config: ExperimentConfig, k: int, run: int) -> MimoChannel:
+def _make_channel(config: ExperimentConfig, k: int, run: int) -> np.ndarray:
     rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL))
     return assemble_mimo_channel(config.nt, config.nr, config.length, k, rng)
 
@@ -242,50 +243,53 @@ def realization_digest(config: ExperimentConfig, k: int, run: int, peek: int = 8
     realizations at this run index. The noise draws are taken at unit
     scale; per-cell noise is a deterministic rescaling of the same stream.
     """
-    channel = _make_channel(config, k, run)
+    rows = _make_channel(config, k, run)
     rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
     generator = TrainingGenerator(config.generator, config.nt, rng)
     digest = hashlib.sha256()
-    digest.update(channel.row_matrix.tobytes())
+    digest.update(rows.tobytes())
     for _ in range(peek):
         digest.update(generator.next().tobytes())
         digest.update(rng.normal(0.0, 1.0, config.nr).tobytes())
     return digest.hexdigest()
 
 
-def run_single(channel: MimoChannel, cell: CellConfig, algorithm: str, rng: np.random.Generator) -> np.ndarray:
+def run_single(rows: np.ndarray, cell: CellConfig, algorithm: str, rng: np.random.Generator) -> np.ndarray:
     """One adaptive identification run; returns per-iteration squared error.
 
-    Entry 0 is the cold-start error of the all-zero estimates; each later
-    entry is recorded after that iteration's update of every receive
-    antenna's state. Per iteration the draw order is fixed: one training
-    sample per transmit antenna, then one noise sample per receive antenna.
+    ``rows`` is the ``(nr, nt * L)`` channel. Entry 0 is the cold-start
+    error of the all-zero estimates; each later entry is recorded after that
+    iteration's update of every receive antenna's estimate. Per iteration
+    the draw order is fixed: one training sample per transmit antenna, then
+    one noise sample per receive antenna.
     """
-    size = cell.nt * cell.length
-    states = [EstimatorState.initial(size, algorithm, cell.hyper) for _ in range(cell.nr)]
+    hyper = replace(cell.hyper, algorithm=algorithm)
+    estimates = [np.zeros(cell.nt * cell.length) for _ in range(cell.nr)]
     generator = TrainingGenerator(cell.generator, cell.nt, rng)
-    noise = NoiseModel(snr_to_variance(cell.snr_db), rng)
-    regressor = Regressor.zeros(cell.nt, cell.length)
-    rows = channel.row_matrix
+    std = math.sqrt(snr_to_variance(cell.snr_db))
+    # each antenna's last L samples, newest first; x is a view of it
+    window = np.zeros((cell.nt, cell.length))
+    x = window.reshape(-1)
     squared = np.empty(cell.iterations)
     squared[0] = float(np.sum(rows * rows))
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cell.iterations):
             if cell.fading_period and n % cell.fading_period == 0:
-                channel = assemble_mimo_channel(cell.nt, cell.nr, cell.length, cell.sparsity, rng)
-                rows = channel.row_matrix
-            regressor = push_regressor(regressor, generator.next())
-            y = system_output(channel, regressor, noise)
+                rows = assemble_mimo_channel(cell.nt, cell.nr, cell.length, cell.sparsity, rng)
+            window[:, 1:] = window[:, :-1]
+            window[:, 0] = generator.next()
+            y = rows @ x + rng.normal(0.0, std, cell.nr)
             total = 0.0
             for i in range(cell.nr):
-                e = error(y[i], predict(states[i], regressor))
-                state = update(states[i], regressor, e)
-                states[i] = state
-                diff = rows[i] - state.estimate
+                h = estimates[i]
+                e = float(y[i]) - float(h @ x)
+                h = estimates[i] = update(hyper, h, x, e)
+                diff = rows[i] - h
                 total += float(diff @ diff)
             if not math.isfinite(total):
-                # estimates can still be finite while their squared error
-                # overflows; either way the run is useless for averaging
+                # a non-finite estimate makes its squared error non-finite
+                # too, and a finite one can still overflow it; either way
+                # the run is useless for averaging
                 raise DivergenceError(f"{algorithm} squared error left the finite range")
             squared[n] = total
     return squared
@@ -343,11 +347,11 @@ class GridResult(Mapping):
 
 def _grid_task(args):
     config, key, run = args
-    channel = _make_channel(config, key.k, run)
+    rows = _make_channel(config, key.k, run)
     rng = np.random.default_rng(_realization_seed(config, key.k, run, _STREAM_LOOP))
     cell = config.cell(key.snr_db, key.mu, key.k)
     try:
-        return key, run, run_single(channel, cell, key.algorithm, rng), None
+        return key, run, run_single(rows, cell, key.algorithm, rng), None
     except DivergenceError as exc:
         return key, run, None, f"run {run}: {exc}"
 

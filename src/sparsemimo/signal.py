@@ -1,73 +1,26 @@
-"""Training signals, per-antenna delay lines, and noisy system outputs."""
+"""Training signals and the SNR convention.
+
+A run draws one real training sample per transmit antenna per iteration.
+The regressor is the ``(nt, L)`` window of each antenna's last ``L``
+samples, newest first, read as one ``nt * L`` vector in transmit order;
+the received sample of antenna ``r`` is ``rows[r] @ x`` plus white Gaussian
+noise of variance ``1 / SNR``.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MimoChannel
-
 __all__ = [
     "GENERATOR_KINDS",
-    "Regressor",
-    "NoiseModel",
     "TrainingGenerator",
     "ofdm_time_samples",
-    "push_regressor",
     "snr_to_variance",
     "variance_to_snr",
-    "system_output",
 ]
 
 GENERATOR_KINDS = ("gaussian", "bpsk", "ofdm")
-
-
-@dataclass(frozen=True, eq=False)
-class Regressor:
-    """Stacked delay-line vector of training samples.
-
-    For each transmit antenna, ``stacked`` holds that antenna's most recent
-    ``length`` samples, newest first; antenna blocks are concatenated in
-    transmit order, so the full vector has ``nt_count * length`` entries.
-    """
-
-    stacked: np.ndarray
-    nt_count: int
-    length: int
-
-    def __post_init__(self):
-        stacked = np.asarray(self.stacked, dtype=np.float64)
-        if stacked.shape != (self.nt_count * self.length,):
-            raise ValueError(
-                f"stacked must have {self.nt_count * self.length} entries, "
-                f"got shape {stacked.shape}"
-            )
-        object.__setattr__(self, "stacked", stacked)
-
-    @classmethod
-    def zeros(cls, nt_count: int, length: int) -> "Regressor":
-        """Cold-start delay line, all entries zero."""
-        return cls(np.zeros(nt_count * length), nt_count, length)
-
-
-def push_regressor(state: Regressor, new_samples) -> Regressor:
-    """Shift one new sample per antenna into the delay line.
-
-    Per antenna block the newest sample lands at offset 0 and the oldest
-    one is discarded; everything else moves by one position.
-    """
-    samples = np.asarray(new_samples, dtype=np.float64)
-    if samples.shape != (state.nt_count,):
-        raise ValueError(
-            f"expected {state.nt_count} samples (one per transmit antenna), "
-            f"got shape {samples.shape}"
-        )
-    blocks = state.stacked.reshape(state.nt_count, state.length)
-    shifted = np.empty_like(blocks)
-    shifted[:, 0] = samples
-    shifted[:, 1:] = blocks[:, :-1]
-    return Regressor(shifted.reshape(-1), state.nt_count, state.length)
 
 
 def ofdm_time_samples(freq_symbols) -> np.ndarray:
@@ -139,32 +92,3 @@ def snr_to_variance(snr_db: float, signal_power: float = 1.0) -> float:
 def variance_to_snr(variance: float, signal_power: float = 1.0) -> float:
     """Inverse of :func:`snr_to_variance`."""
     return 10.0 * math.log10(signal_power / variance)
-
-
-@dataclass(eq=False)
-class NoiseModel:
-    """Additive white Gaussian observation noise of fixed power.
-
-    ``variance == 0`` is accepted as the noiseless limit (SNR -> inf).
-    """
-
-    variance: float
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.variance < 0 or not math.isfinite(self.variance):
-            raise ValueError(f"variance must be finite and nonnegative, got {self.variance}")
-        self._std = math.sqrt(self.variance)
-
-    def sample(self, count: int) -> np.ndarray:
-        return self.rng.normal(0.0, self._std, count)
-
-
-def system_output(channel: MimoChannel, x: Regressor, noise: NoiseModel) -> np.ndarray:
-    """Noisy received sample per antenna: ``y = row_matrix @ x + z``."""
-    if x.nt_count != channel.nt_count or x.length != channel.tap_count:
-        raise ValueError(
-            f"regressor layout ({x.nt_count} x {x.length}) does not match "
-            f"channel ({channel.nt_count} x {channel.tap_count})"
-        )
-    return channel.row_matrix @ x.stacked + noise.sample(channel.nr_count)

@@ -14,7 +14,6 @@ import pytest
 
 from sparsemimo.cli import main, manifest_path_for
 from sparsemimo.estimator import (
-    EstimatorState,
     HyperParams,
     j_attractor,
     l0_approx_norm,
@@ -28,7 +27,6 @@ from sparsemimo.experiment import (
     run_grid,
     steady_state_mse,
 )
-from sparsemimo.signal import Regressor
 
 ALGS = ("nlms", "lp_nlms", "l0_nlms")
 SEED = 7
@@ -165,10 +163,8 @@ def test_criterion_7_zero_attraction_and_cutoff():
         bounds[in_band] = np.abs(h[in_band]) / pull[in_band]
         rho = rng.uniform(0.1, 0.999) * min(1.0, float(bounds.min()))
         mu = 0.5
-        state = EstimatorState(
-            h.copy(), "l0_nlms", HyperParams(mu=mu, lambda_l0=rho / mu, beta=beta)
-        )
-        out = l0_nlms_update(state, Regressor(np.ones(8), 1, 8), 0.0).estimate
+        hyper = HyperParams("l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
+        out = l0_nlms_update(hyper, h.copy(), np.ones(8), 0.0)
         for i in range(h.size):
             if abs(h[i]) > 1.0 / beta:
                 ok = ok and out[i] == h[i]

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsemimo.channel import (
-    ChannelVector,
-    MimoChannel,
-    assemble_mimo_channel,
-    generate_sparse_channel,
-    miso_row,
-)
+from sparsemimo.channel import assemble_mimo_channel, generate_sparse_channel
 
 L = 16
 
@@ -17,23 +11,23 @@ L = 16
 @pytest.mark.parametrize("sparsity", [1, 4, 16])
 def test_unit_norm_and_support(sparsity):
     rng = np.random.default_rng(3)
-    vec = generate_sparse_channel(L, sparsity, rng)
-    assert vec.length == L
-    assert np.count_nonzero(vec.taps) == sparsity
-    assert len(vec.support) == sparsity
-    assert np.sum(vec.taps**2) == pytest.approx(1.0, abs=1e-12)
+    taps = generate_sparse_channel(L, sparsity, rng)
+    assert taps.shape == (L,)
+    assert taps.dtype == np.float64
+    assert np.flatnonzero(taps).size == sparsity
+    assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_sparse_tap_has_unit_magnitude():
     rng = np.random.default_rng(11)
-    vec = generate_sparse_channel(L, 1, rng)
-    assert abs(vec.taps[vec.support[0]]) == pytest.approx(1.0, abs=1e-12)
+    taps = generate_sparse_channel(L, 1, rng)
+    assert abs(taps[np.flatnonzero(taps)[0]]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generation_is_bit_reproducible():
     a = generate_sparse_channel(L, 4, np.random.default_rng(42))
     b = generate_sparse_channel(L, 4, np.random.default_rng(42))
-    assert a.taps.tobytes() == b.taps.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_support_positions_cover_all_indices():
@@ -41,7 +35,7 @@ def test_support_positions_cover_all_indices():
     rng = np.random.default_rng(5)
     seen = set()
     for _ in range(300):
-        seen.update(generate_sparse_channel(L, 2, rng).support)
+        seen.update(np.flatnonzero(generate_sparse_channel(L, 2, rng)).tolist())
     assert seen == set(range(L))
 
 
@@ -64,10 +58,10 @@ class _ZeroFirstRng:
 
 def test_exact_zero_draws_are_redrawn():
     rng = _ZeroFirstRng()
-    vec = generate_sparse_channel(8, 3, rng)
+    taps = generate_sparse_channel(8, 3, rng)
     assert rng.gaussian_calls == 2
-    assert np.count_nonzero(vec.taps) == 3
-    assert np.sum(vec.taps**2) == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(taps) == 3
+    assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("sparsity", [0, 17, -1])
@@ -76,13 +70,18 @@ def test_sparsity_out_of_range_rejected(sparsity):
         generate_sparse_channel(L, sparsity, np.random.default_rng(0))
 
 
+def _links(nt, nr, length, sparsity, seed):
+    """The links drawn one by one from the same seed, ``links[rx][tx]``."""
+    rng = np.random.default_rng(seed)
+    return [[generate_sparse_channel(length, sparsity, rng) for _ in range(nt)] for _ in range(nr)]
+
+
 @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (1, 1)])
 def test_assemble_grid_shape_and_energy(nt, nr):
-    channel = assemble_mimo_channel(nt, nr, L, 4, np.random.default_rng(9))
-    assert channel.nt_count == nt and channel.nr_count == nr
-    assert channel.row_matrix.shape == (nr, nt * L)
-    total = sum(np.sum(vec.taps**2) for row in channel.links for vec in row)
-    assert total == pytest.approx(nr * nt, abs=1e-9)
+    rows = assemble_mimo_channel(nt, nr, L, 4, np.random.default_rng(9))
+    assert rows.shape == (nr, nt * L)
+    assert rows.dtype == np.float64
+    assert np.sum(rows**2) == pytest.approx(nr * nt, abs=1e-9)
 
 
 def test_assemble_rejects_bad_antenna_counts():
@@ -94,61 +93,25 @@ def test_assemble_rejects_bad_antenna_counts():
 
 
 def test_miso_row_is_transmit_major_concatenation():
-    channel = assemble_mimo_channel(2, 4, L, 3, np.random.default_rng(17))
-    # independent construction: plain python concatenation of the link taps
+    rows = assemble_mimo_channel(2, 4, L, 3, np.random.default_rng(17))
+    # independent construction: the links drawn rx outer, tx inner, then
+    # concatenated per receive antenna in plain python
+    links = _links(2, 4, L, 3, 17)
     for rx in range(4):
-        expected = np.concatenate([channel.links[rx][tx].taps for tx in range(2)])
-        row = miso_row(channel, rx)
-        assert row.shape == (2 * L,)
-        assert np.array_equal(row, expected)
+        expected = np.concatenate([links[rx][tx] for tx in range(2)])
+        assert rows[rx].shape == (2 * L,)
+        assert np.array_equal(rows[rx], expected)
 
 
 def test_miso_row_index_formula():
-    channel = assemble_mimo_channel(3, 2, 5, 2, np.random.default_rng(23))
+    rows = assemble_mimo_channel(3, 2, 5, 2, np.random.default_rng(23))
+    links = _links(3, 2, 5, 2, 23)
     for rx in range(2):
-        row = miso_row(channel, rx)
         for tx in range(3):
             for l in range(5):
-                assert row[tx * 5 + l] == channel.links[rx][tx].taps[l]
+                assert rows[rx, tx * 5 + l] == links[rx][tx][l]
 
 
 def test_miso_row_single_antenna_is_the_link():
-    channel = assemble_mimo_channel(1, 1, L, 2, np.random.default_rng(2))
-    assert np.array_equal(miso_row(channel, 0), channel.links[0][0].taps)
-
-
-def test_miso_row_returns_independent_copy():
-    channel = assemble_mimo_channel(2, 2, L, 1, np.random.default_rng(1))
-    row = miso_row(channel, 0)
-    row[0] += 123.0
-    assert channel.row_matrix[0, 0] != row[0]
-
-
-@pytest.mark.parametrize("rx", [-1, 2, 5])
-def test_miso_row_index_out_of_range(rx):
-    channel = assemble_mimo_channel(2, 2, L, 1, np.random.default_rng(1))
-    with pytest.raises(IndexError):
-        miso_row(channel, rx)
-
-
-def test_channel_vector_is_read_only():
-    vec = generate_sparse_channel(L, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        vec.taps[0] = 1.0
-
-
-def test_channel_vector_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        ChannelVector(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        ChannelVector(np.zeros(0))
-
-
-def test_mimo_channel_validates_grid():
-    vec = ChannelVector(np.ones(4))
-    with pytest.raises(ValueError):
-        MimoChannel(((vec,),), nt_count=2, nr_count=1)
-    with pytest.raises(ValueError):
-        MimoChannel(((vec,), (vec,)), nt_count=1, nr_count=1)
-    with pytest.raises(ValueError):
-        MimoChannel(((vec, ChannelVector(np.ones(3))),), nt_count=2, nr_count=1)
+    rows = assemble_mimo_channel(1, 1, L, 2, np.random.default_rng(2))
+    assert np.array_equal(rows[0], generate_sparse_channel(L, 2, np.random.default_rng(2)))

@@ -7,10 +7,7 @@ import pytest
 
 from sparsemimo.estimator import (
     ALGORITHMS,
-    DivergenceError,
-    EstimatorState,
     HyperParams,
-    error,
     j_attractor,
     l0_approx_norm,
     l0_exponential_attractor,
@@ -20,94 +17,60 @@ from sparsemimo.estimator import (
     lp_norm,
     lp_nlms_update,
     nlms_update,
-    predict,
     update,
 )
-from sparsemimo.signal import Regressor
+from sparsemimo.experiment import DivergenceError, ExperimentConfig, run_single
 
 
-def _reg(values):
-    values = np.asarray(values, dtype=float)
-    return Regressor(values, nt_count=1, length=values.size)
-
-
-def _state(estimate, algorithm="nlms", **hyper):
-    return EstimatorState(np.asarray(estimate, dtype=float), algorithm, HyperParams(**hyper))
-
-
-class TestPredictAndError:
-    def test_zero_estimate_predicts_zero(self):
-        assert predict(_state(np.zeros(4)), _reg([1.0, 2.0, 3.0, 4.0])) == 0.0
-
-    def test_perfect_estimate_nulls_error(self):
-        h = np.array([0.3, -1.2, 0.0, 0.5])
-        x = _reg([1.0, -2.0, 0.25, 4.0])
-        y = float(h @ x.stacked)
-        assert error(y, predict(_state(h), x)) == 0.0
-
-    def test_matches_naive_dot_product(self):
-        rng = np.random.default_rng(8)
-        h, x = rng.standard_normal(4), rng.standard_normal(4)
-        naive = sum(float(a) * float(b) for a, b in zip(h, x))
-        assert predict(_state(h), _reg(x)) == pytest.approx(naive, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            predict(_state(np.zeros(3)), _reg([1.0, 2.0]))
-
-    def test_error_is_plain_difference(self):
-        assert error(1.0, 1.0) == 0.0
-        assert error(2.0, 0.5) == 1.5
+def _vec(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestLms:
     def test_zero_error_is_fixpoint(self):
-        state = _state([0.5, -0.25], algorithm="lms")
-        out = lms_update(state, _reg([1.0, 2.0]), 0.0)
-        assert out.estimate.tobytes() == state.estimate.tobytes()
+        h = _vec([0.5, -0.25])
+        out = lms_update(HyperParams("lms"), h, _vec([1.0, 2.0]), 0.0)
+        assert out.tobytes() == h.tobytes()
 
     def test_single_step_hand_value(self):
-        state = _state([0.0, 0.0], algorithm="lms", mu=1.0)
-        out = lms_update(state, _reg([1.0, 0.0]), 2.0)
-        assert np.array_equal(out.estimate, [2.0, 0.0])
+        out = lms_update(HyperParams("lms", mu=1.0), np.zeros(2), _vec([1.0, 0.0]), 2.0)
+        assert np.array_equal(out, [2.0, 0.0])
 
     def test_oversized_step_diverges(self):
         # fixed regressor loop: per-step error factor 1 - mu*|x|^2 = -3.5
-        state = _state(np.zeros(2), algorithm="lms", mu=0.5)
-        x = _reg([3.0, 0.0])
-        y = 1.0
-        with pytest.raises(DivergenceError):
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(2000):
-                    state = lms_update(state, x, error(y, predict(state, x)))
+        hyper = HyperParams("lms", mu=0.5)
+        h, x, y = np.zeros(2), _vec([3.0, 0.0]), 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2000):
+                h = lms_update(hyper, h, x, y - float(h @ x))
+        assert not np.isfinite(h).all()
 
 
 class TestNlms:
     def test_unit_step_nulls_a_posteriori_error(self):
         h = np.zeros(6)
         h[0] = 0.83
-        state = _state(np.zeros(6), mu=1.0)
-        x = _reg([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        y = float(h @ x.stacked)
-        out = nlms_update(state, x, error(y, predict(state, x)), delta=0.0)
-        assert error(y, predict(out, x)) == 0.0
+        est = np.zeros(6)
+        x = _vec([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        y = float(h @ x)
+        out = nlms_update(HyperParams(mu=1.0), est, x, y - float(est @ x), delta=0.0)
+        assert y - float(out @ x) == 0.0
 
     def test_zero_error_is_fixpoint(self):
-        state = _state([1.0, -2.0])
-        out = nlms_update(state, _reg([0.5, 0.25]), 0.0)
-        assert out.estimate.tobytes() == state.estimate.tobytes()
+        h = _vec([1.0, -2.0])
+        out = nlms_update(HyperParams(), h, _vec([0.5, 0.25]), 0.0)
+        assert out.tobytes() == h.tobytes()
 
     def test_a_posteriori_contraction_factor(self):
         # noiseless single sample: e_post = (1 - mu) * e_prior
         rng = np.random.default_rng(4)
         for mu in (0.25, 0.5, 1.0, 1.5, 1.9):
             h, est = rng.standard_normal(8), rng.standard_normal(8)
-            x = _reg(rng.standard_normal(8))
-            y = float(h @ x.stacked)
-            state = _state(est, mu=mu)
-            e = error(y, predict(state, x))
-            out = nlms_update(state, x, e, delta=0.0)
-            e_post = error(y, predict(out, x))
+            x = rng.standard_normal(8)
+            y = float(h @ x)
+            e = y - float(est @ x)
+            out = nlms_update(HyperParams(mu=mu), est, x, e, delta=0.0)
+            e_post = y - float(out @ x)
             assert e_post == pytest.approx((1.0 - mu) * e, abs=1e-12)
             assert abs(e_post) <= abs(e) + 1e-12
 
@@ -115,22 +78,22 @@ class TestNlms:
         rng = np.random.default_rng(6)
         h, est = rng.standard_normal(5), rng.standard_normal(5)
         x = rng.standard_normal(5)
-        state = _state(est, mu=0.7)
+        hyper = HyperParams(mu=0.7)
         for c in (3.0, -0.02, 1e4):
             y, yc = float(h @ x), float(h @ (c * x))
-            base = nlms_update(state, _reg(x), error(y, predict(state, _reg(x))), delta=0.0)
-            scaled = nlms_update(state, _reg(c * x), error(c * y, predict(state, _reg(c * x))), delta=0.0)
-            assert np.allclose(base.estimate, scaled.estimate, atol=1e-12)
+            base = nlms_update(hyper, est, x, y - float(est @ x), delta=0.0)
+            scaled = nlms_update(hyper, est, c * x, c * y - float(est @ (c * x)), delta=0.0)
+            assert np.allclose(base, scaled, atol=1e-12)
 
     def test_all_zero_regressor_without_guard_skips_update(self):
-        state = _state([1.0, 2.0])
-        out = nlms_update(state, _reg([0.0, 0.0]), 1.0, delta=0.0)
-        assert out is state
+        h = _vec([1.0, 2.0])
+        out = nlms_update(HyperParams(), h, np.zeros(2), 1.0, delta=0.0)
+        assert out is h
 
     def test_all_zero_regressor_with_guard_is_harmless(self):
-        state = _state([1.0, 2.0])
-        out = nlms_update(state, _reg([0.0, 0.0]), 1.0)
-        assert np.array_equal(out.estimate, state.estimate)
+        h = _vec([1.0, 2.0])
+        out = nlms_update(HyperParams(), h, np.zeros(2), 1.0)
+        assert np.array_equal(out, h)
 
 
 class TestLpNorm:
@@ -185,19 +148,20 @@ class TestLpAttractor:
 class TestLpNlms:
     def test_zero_weight_reduces_to_nlms(self):
         rng = np.random.default_rng(14)
-        state = _state(rng.standard_normal(6), algorithm="lp_nlms", lambda_lp=0.0)
-        x = _reg(rng.standard_normal(6))
+        h = rng.standard_normal(6)
+        hyper = HyperParams("lp_nlms", lambda_lp=0.0)
+        x = rng.standard_normal(6)
         e = 0.37
-        sparse = lp_nlms_update(state, x, e)
-        plain = nlms_update(state, x, e)
-        assert sparse.estimate.tobytes() == plain.estimate.tobytes()
+        sparse = lp_nlms_update(hyper, h, x, e)
+        plain = nlms_update(hyper, h, x, e)
+        assert sparse.tobytes() == plain.tobytes()
 
     def test_zero_error_shrinks_single_tap(self):
+        hyper = HyperParams("lp_nlms", lambda_lp=1e-3, mu=0.5)
         for h0 in (0.4, -0.4):
-            state = _state([h0, 0.0], algorithm="lp_nlms", lambda_lp=1e-3, mu=0.5)
-            out = lp_nlms_update(state, _reg([1.0, 1.0]), 0.0)
-            assert abs(out.estimate[0]) < abs(h0)
-            assert np.sign(out.estimate[0]) == np.sign(h0)
+            out = lp_nlms_update(hyper, _vec([h0, 0.0]), _vec([1.0, 1.0]), 0.0)
+            assert abs(out[0]) < abs(h0)
+            assert np.sign(out[0]) == np.sign(h0)
 
 
 class TestL0ApproxNorm:
@@ -274,21 +238,22 @@ class TestExponentialAttractor:
 class TestL0Nlms:
     def test_zero_weight_reduces_to_nlms(self):
         rng = np.random.default_rng(16)
-        state = _state(rng.standard_normal(6), algorithm="l0_nlms", lambda_l0=0.0)
-        x = _reg(rng.standard_normal(6))
-        sparse = l0_nlms_update(state, x, -0.8)
-        plain = nlms_update(state, x, -0.8)
-        assert sparse.estimate.tobytes() == plain.estimate.tobytes()
+        h = rng.standard_normal(6)
+        hyper = HyperParams("l0_nlms", lambda_l0=0.0)
+        x = rng.standard_normal(6)
+        sparse = l0_nlms_update(hyper, h, x, -0.8)
+        plain = nlms_update(hyper, h, x, -0.8)
+        assert sparse.tobytes() == plain.tobytes()
 
     def test_attraction_band_algebra(self):
         # e = 0: in-band |h'| = |h| - rho (2 beta - 2 beta^2 |h|), sign kept
         beta, rho, mu = 10.0, 1e-3, 0.5
-        state = _state([0.05, -0.05, 0.5], algorithm="l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
-        out = l0_nlms_update(state, _reg([1.0, 1.0, 1.0]), 0.0)
+        hyper = HyperParams("l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
+        out = l0_nlms_update(hyper, _vec([0.05, -0.05, 0.5]), _vec([1.0, 1.0, 1.0]), 0.0)
         shrink = rho * (2 * beta - 2 * beta**2 * 0.05)
-        assert out.estimate[0] == pytest.approx(0.05 - shrink, abs=1e-15)
-        assert out.estimate[1] == pytest.approx(-0.05 + shrink, abs=1e-15)
-        assert out.estimate[2] == 0.5  # outside the band: untouched
+        assert out[0] == pytest.approx(0.05 - shrink, abs=1e-15)
+        assert out[1] == pytest.approx(-0.05 + shrink, abs=1e-15)
+        assert out[2] == 0.5  # outside the band: untouched
 
     def test_randomized_attraction_and_cutoff(self):
         # zero-attraction and cutoff over many random (h, beta, rho) triples
@@ -305,22 +270,22 @@ class TestL0Nlms:
             if rho == 0.0:
                 continue
             mu = 0.5
-            state = _state(h, algorithm="l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
-            out = l0_nlms_update(state, _reg(np.ones(8)), 0.0)
+            hyper = HyperParams("l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
+            out = l0_nlms_update(hyper, h, np.ones(8), 0.0)
             for i in range(8):
                 if np.abs(h[i]) > 1.0 / beta:
-                    assert out.estimate[i] == h[i]
+                    assert out[i] == h[i]
                 elif in_band[i] and rho < bounds[i]:
-                    assert abs(out.estimate[i]) < abs(h[i])
-                    assert np.sign(out.estimate[i]) == np.sign(h[i])
+                    assert abs(out[i]) < abs(h[i])
+                    assert np.sign(out[i]) == np.sign(h[i])
                 elif h[i] == 0.0:
-                    assert out.estimate[i] == 0.0
+                    assert out[i] == 0.0
 
 
 class TestCommonUpdateContract:
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(9)
-        x = _reg(rng.standard_normal(4))
+        x = rng.standard_normal(4)
         e = 0.21
         rules = {
             "lms": lms_update,
@@ -329,15 +294,15 @@ class TestCommonUpdateContract:
             "l0_nlms": l0_nlms_update,
         }
         for name in ALGORITHMS:
-            state = _state(rng.standard_normal(4), algorithm=name, lambda_lp=1e-3, lambda_l0=1e-3)
-            via_dispatch = update(state, x, e)
-            direct = rules[name](state, x, e)
-            assert via_dispatch.estimate.tobytes() == direct.estimate.tobytes()
+            hyper = HyperParams(name, lambda_lp=1e-3, lambda_l0=1e-3)
+            h = rng.standard_normal(4)
+            via_dispatch = update(hyper, h, x, e)
+            direct = rules[name](hyper, h, x, e)
+            assert via_dispatch.tobytes() == direct.tobytes()
 
     def test_unknown_algorithm_rejected(self):
-        state = EstimatorState(np.zeros(2), "rls", HyperParams())
-        with pytest.raises(ValueError):
-            update(state, _reg([1.0, 0.0]), 0.1)
+        with pytest.raises(ValueError, match="rls"):
+            update(HyperParams("rls"), np.zeros(2), _vec([1.0, 0.0]), 0.1)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)
@@ -346,16 +311,19 @@ class TestCommonUpdateContract:
         h = rng.standard_normal(8)
         e = -1.3
         for name in ALGORITHMS:
-            state = _state(h, algorithm=name, lambda_lp=1e-3, lambda_l0=1e-3)
-            permuted = _state(h[perm], algorithm=name, lambda_lp=1e-3, lambda_l0=1e-3)
-            out = update(state, _reg(x), e)
-            out_perm = update(permuted, _reg(x[perm]), e)
-            assert np.allclose(out_perm.estimate, out.estimate[perm], atol=1e-12)
+            hyper = HyperParams(name, lambda_lp=1e-3, lambda_l0=1e-3)
+            out = update(hyper, h, x, e)
+            out_perm = update(hyper, h[perm], x[perm], e)
+            assert np.allclose(out_perm, out[perm], atol=1e-12)
 
     def test_divergence_message_names_algorithm(self):
-        state = _state([1.0], algorithm="lms", mu=1.0)
+        # the rules return whatever they compute; the run's once-per-iteration
+        # squared-error guard reports the divergence and names the rule
+        config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), iterations=400)
+        rows = np.zeros((1, 4 * 32))
+        rows[0, 0] = 1.0
         with pytest.raises(DivergenceError, match="lms"):
-            lms_update(state, _reg([1.0]), float("inf"))
+            run_single(rows, config.cell(10.0, 1.0, 1), "lms", np.random.default_rng(0))
 
 
 class TestHyperParams:
@@ -378,16 +346,8 @@ class TestHyperParams:
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
+        # HyperParams does not validate: every knob reaches it through
+        # ExperimentConfig, which must refuse each value no rule can take
+        config = {name: (value,) if name == "mu" else value for name, value in kwargs.items()}
         with pytest.raises(ValueError):
-            HyperParams(**kwargs)
-
-    def test_initial_state_is_zero(self):
-        state = EstimatorState.initial(12, "nlms", HyperParams())
-        assert state.estimate.shape == (12,)
-        assert not state.estimate.any()
-
-    def test_initial_rejects_large_mu_for_normalized(self):
-        with pytest.raises(ValueError):
-            EstimatorState.initial(4, "nlms", HyperParams(mu=2.0))
-        # plain gradient descent has no fixed upper step bound
-        EstimatorState.initial(4, "lms", HyperParams(mu=2.5))
+            ExperimentConfig(**config)

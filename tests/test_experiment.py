@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsemimo.channel import MimoChannel, assemble_mimo_channel
+from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.experiment import (
     LAMBDA_L0_NOISE_RATIO,
     LAMBDA_LP_NOISE_RATIO,
@@ -35,15 +35,15 @@ def _tiny_config(**overrides):
 class TestRunSingle:
     def test_cold_start_error_is_total_channel_energy(self):
         config = _tiny_config()
-        channel = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
-        out = run_single(channel, config.cell(10.0, 0.5, 1), "nlms", np.random.default_rng(1))
+        rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
+        out = run_single(rows, config.cell(10.0, 0.5, 1), "nlms", np.random.default_rng(1))
         assert out.shape == (50,)
         assert out[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_noiseless_identification_converges(self):
         config = _tiny_config(length=16, snr_db=(math.inf,), mu=(1.0,), iterations=2000)
-        channel = assemble_mimo_channel(2, 2, 16, 1, np.random.default_rng(5))
-        out = run_single(channel, config.cell(math.inf, 1.0, 1), "nlms", np.random.default_rng(6))
+        rows = assemble_mimo_channel(2, 2, 16, 1, np.random.default_rng(5))
+        out = run_single(rows, config.cell(math.inf, 1.0, 1), "nlms", np.random.default_rng(6))
         assert out[-1] < 1e-6
 
     def test_receive_antennas_do_not_interact(self):
@@ -51,19 +51,19 @@ class TestRunSingle:
         # trace identical because each antenna's estimator is independent
         config = _tiny_config(snr_db=(math.inf,), iterations=300)
         cell = config.cell(math.inf, 0.5, 1)
-        channel = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(9))
-        swapped = MimoChannel((channel.links[1], channel.links[0]), nt_count=2, nr_count=2)
-        a = run_single(channel, cell, "nlms", np.random.default_rng(2))
+        rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(9))
+        swapped = rows[[1, 0]]
+        a = run_single(rows, cell, "nlms", np.random.default_rng(2))
         b = run_single(swapped, cell, "nlms", np.random.default_rng(2))
         assert a.tobytes() == b.tobytes()
 
     def test_fading_redraws_channel(self):
         config = _tiny_config(iterations=400, fading_period=100)
         cell = config.cell(10.0, 0.5, 1)
-        channel = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(4))
-        faded = run_single(channel, cell, "nlms", np.random.default_rng(8))
+        rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(4))
+        faded = run_single(rows, cell, "nlms", np.random.default_rng(8))
         static = run_single(
-            channel, _tiny_config(iterations=400).cell(10.0, 0.5, 1), "nlms", np.random.default_rng(8)
+            rows, _tiny_config(iterations=400).cell(10.0, 0.5, 1), "nlms", np.random.default_rng(8)
         )
         assert np.isfinite(faded).all()
         # the redraw at iteration 100 bumps the error of the faded run
@@ -156,6 +156,7 @@ class TestConfigValidation:
             ({"seed": -1}, "seed"),
             ({"generator": "qam"}, "generator"),
             ({"lambda_lp": -1.0}, "lambda_lp"),
+            ({"lambda_l0": -1.0}, "lambda_l0"),
             ({"p": 1.5}, "p"),
             ({"epsilon": 0.0}, "epsilon"),
             ({"beta": 0.0}, "beta"),

@@ -1,57 +1,19 @@
-"""Tests for training generation, delay lines, and noisy outputs."""
+"""Tests for training generation, SNR conversion, and the received signal."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sparsemimo.channel import ChannelVector, MimoChannel, assemble_mimo_channel
+from sparsemimo.channel import assemble_mimo_channel
+from sparsemimo.estimator import HyperParams, update
+from sparsemimo.experiment import ExperimentConfig, run_single
 from sparsemimo.signal import (
-    NoiseModel,
-    Regressor,
     TrainingGenerator,
     ofdm_time_samples,
-    push_regressor,
     snr_to_variance,
-    system_output,
     variance_to_snr,
 )
-
-
-class TestRegressor:
-    def test_cold_start_is_all_zero(self):
-        reg = Regressor.zeros(2, 16)
-        assert reg.stacked.shape == (32,)
-        assert not reg.stacked.any()
-
-    def test_push_shifts_one_antenna(self):
-        reg = Regressor(np.array([1.0, 2.0]), nt_count=1, length=2)
-        out = push_regressor(reg, [3.0])
-        assert np.array_equal(out.stacked, [3.0, 1.0])
-
-    def test_push_shifts_each_antenna_block(self):
-        reg = Regressor(np.array([1.0, 2.0, 10.0, 20.0]), nt_count=2, length=2)
-        out = push_regressor(reg, [3.0, 30.0])
-        assert np.array_equal(out.stacked, [3.0, 1.0, 30.0, 10.0])
-
-    def test_padding_gone_after_length_pushes(self):
-        nt, length = 2, 5
-        reg = Regressor.zeros(nt, length)
-        pushed = set()
-        for n in range(length):
-            samples = [float(100 + n), float(200 + n)]
-            pushed.update(samples)
-            reg = push_regressor(reg, samples)
-        assert set(reg.stacked.tolist()) <= pushed
-
-    def test_push_rejects_wrong_sample_count(self):
-        reg = Regressor.zeros(2, 4)
-        with pytest.raises(ValueError):
-            push_regressor(reg, [1.0])
-
-    def test_rejects_wrong_stacked_length(self):
-        with pytest.raises(ValueError):
-            Regressor(np.zeros(5), nt_count=2, length=3)
 
 
 class TestTrainingGenerator:
@@ -113,66 +75,59 @@ class TestNoise:
     def test_infinite_snr_is_noiseless(self):
         assert snr_to_variance(math.inf) == 0.0
 
-    def test_empirical_variance(self):
-        target = snr_to_variance(10.0)
-        noise = NoiseModel(target, np.random.default_rng(3))
-        draws = noise.sample(100_000)
-        assert np.var(draws) == pytest.approx(target, rel=0.03)
 
-    def test_distinct_streams_are_independent(self):
-        a = NoiseModel(1.0, np.random.default_rng(1)).sample(64)
-        b = NoiseModel(1.0, np.random.default_rng(2)).sample(64)
-        assert not np.array_equal(a, b)
+def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
+    """Plain-python reference run with its own sample history.
 
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(-1e-9, np.random.default_rng(0))
-
-
-def _known_channel(rows):
-    vecs = tuple(tuple(ChannelVector(np.asarray(link, dtype=float)) for link in row) for row in rows)
-    return MimoChannel(vecs, nt_count=len(rows[0]), nr_count=len(rows))
+    The received sample is the convolution
+    ``y_r(n) = sum_t sum_l h[r][t][l] * s(n - l)[t] + z_r(n)``, computed from
+    the raw history, independent of any delay-line layout. The regressor
+    handed to the rule is rebuilt from the same history: per transmit
+    antenna its last ``length`` samples, newest first, zero before the
+    start. The draw order is the documented one: training, then noise.
+    """
+    rng = np.random.default_rng(seed)
+    generator = TrainingGenerator("gaussian", nt, rng)
+    std = math.sqrt(snr_to_variance(snr_db))
+    nr = rows.shape[0]
+    estimates = [np.zeros(nt * length) for _ in range(nr)]
+    history = []
+    squared = [float(np.sum(rows * rows))]
+    for n in range(iterations - 1):
+        history.append(generator.next())
+        noise = rng.normal(0.0, std, nr)
+        x = np.array([
+            history[n - l][t] if n - l >= 0 else 0.0 for t in range(nt) for l in range(length)
+        ])
+        total = 0.0
+        for r in range(nr):
+            y = noise[r]
+            for t in range(nt):
+                for l in range(min(length, n + 1)):
+                    y += rows[r, t * length + l] * history[n - l][t]
+            h = estimates[r]
+            estimates[r] = update(hyper, h, x, y - float(h @ x))
+            total += float(np.sum((rows[r] - estimates[r]) ** 2))
+        squared.append(total)
+    return np.array(squared)
 
 
 class TestSystemOutput:
-    def test_zero_regressor_gives_zero_output(self):
-        channel = assemble_mimo_channel(2, 2, 8, 2, np.random.default_rng(0))
-        noise = NoiseModel(0.0, np.random.default_rng(0))
-        y = system_output(channel, Regressor.zeros(2, 8), noise)
-        assert np.array_equal(y, np.zeros(2))
-
-    def test_identity_channel_passes_sample_through(self):
-        channel = _known_channel([[[1.0, 0.0, 0.0]]])
-        reg = push_regressor(Regressor.zeros(1, 3), [0.7])
-        y = system_output(channel, reg, NoiseModel(0.0, np.random.default_rng(0)))
-        assert y[0] == 0.7
-
     def test_matches_naive_convolution_oracle(self):
-        # oracle: y_r(n) = sum_t sum_l h[r][t][l] * s(n - l)[t], from the raw
-        # pushed sample history, independent of the Regressor layout
-        rng = np.random.default_rng(21)
-        nt, nr, length = 2, 2, 4
-        channel = assemble_mimo_channel(nt, nr, length, 2, rng)
-        noise = NoiseModel(0.0, np.random.default_rng(0))
-        reg = Regressor.zeros(nt, length)
-        history = []
-        for n in range(10):
-            samples = rng.standard_normal(nt)
-            history.append(samples)
-            reg = push_regressor(reg, samples)
-            y = system_output(channel, reg, noise)
-            for r in range(nr):
-                expected = 0.0
-                for t in range(nt):
-                    for l in range(length):
-                        if n - l >= 0:
-                            expected += channel.links[r][t].taps[l] * history[n - l][t]
-                assert y[r] == pytest.approx(expected, abs=1e-12)
+        nt, nr, length, iterations = 2, 2, 4, 30
+        config = ExperimentConfig(nt=nt, nr=nr, length=length, sparsity=(2,), iterations=iterations,
+                                  lambda_l0=1e-2)
+        cell = config.cell(10.0, 0.5, 2)
+        rows = assemble_mimo_channel(nt, nr, length, 2, np.random.default_rng(21))
+        for algorithm in ("nlms", "l0_nlms"):
+            got = run_single(rows, cell, algorithm, np.random.default_rng(4))
+            hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
+            expected = _naive_run(rows, nt, length, 10.0, iterations, hyper, seed=4)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        channel = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
-        noise = NoiseModel(0.0, np.random.default_rng(0))
+        cell = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), iterations=5).cell(10.0, 0.5, 1)
         with pytest.raises(ValueError):
-            system_output(channel, Regressor.zeros(2, 4), noise)
+            run_single(np.zeros((2, 2 * 4)), cell, "nlms", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            system_output(channel, Regressor.zeros(1, 16), noise)
+            run_single(np.zeros((3, 2 * 8)), cell, "nlms", np.random.default_rng(0))
