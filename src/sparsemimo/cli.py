@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .estimator import ALGORITHMS
 from .experiment import (
     CellKey,
     ExperimentConfig,
@@ -22,6 +23,7 @@ from .experiment import (
     run_grid,
     steady_state_mse,
 )
+from .signal import GENERATOR_KINDS
 
 __all__ = [
     "CSV_HEADER",
@@ -52,65 +54,57 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _csv_list(convert, name):
+def _csv_list(convert):
     def parse(text: str):
-        try:
-            return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise UsageError(f"{name}: could not parse {text!r}") from None
+        return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
 
     return parse
 
 
-def _scalar(convert, name):
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError:
-            raise UsageError(f"{name}: could not parse {text!r}") from None
+# Every ExperimentConfig field, keyed as in a config file: key -> (parse,
+# help). The flag is "--" + key with "_" -> "-"; key "k" sets "sparsity".
+_FIELDS = {
+    "algorithms": (_csv_list(str), f"comma-separated subset of {','.join(ALGORITHMS)}"),
+    "nt": (int, "transmit antenna count"),
+    "nr": (int, "receive antenna count"),
+    "length": (int, "taps per link"),
+    "k": (_csv_list(int), "comma-separated dominant-tap counts"),
+    "snr_db": (_csv_list(float), "comma-separated SNR values in dB (inf = noiseless)"),
+    "mu": (_csv_list(float), "comma-separated step sizes in (0, 2)"),
+    "lambda_lp": (float, "fractional-norm penalty weight (default: 1e-4 x noise power)"),
+    "lambda_l0": (float, "zero-attractor penalty weight (default: 1e-3 x noise power)"),
+    "p": (float, "fractional norm exponent in (0, 1]"),
+    "epsilon": (float, "attractor denominator guard"),
+    "beta": (float, "attraction band is |h| <= 1/beta"),
+    "runs": (int, "Monte-Carlo runs per cell"),
+    "iterations": (int, "updates per run"),
+    "seed": (int, "master seed"),
+    "generator": (str, f"training signal kind: {', '.join(GENERATOR_KINDS)}"),
+    "fading_period": (int, "redraw the channel every N iterations (default: static)"),
+}
 
-    return parse
+
+def _config_field(key: str) -> str:
+    return "sparsity" if key == "k" else key
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _parse_value(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"{key}: could not parse {text!r}") from None
 
 
-def _argtype(convert):
+def _argtype(key: str, parse):
     # argparse rewrites ValueError into a generic message; ArgumentTypeError
     # text is passed through verbatim, keeping the offending key visible
-    def parse(text: str):
+    def convert(text: str):
         try:
-            return convert(text)
+            return _parse_value(key, parse, text)
         except UsageError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
-
-
-# Config-file keys share names and parsers with the flags.
-_FIELD_PARSERS = {
-    "nt": _scalar(int, "nt"),
-    "nr": _scalar(int, "nr"),
-    "length": _scalar(int, "length"),
-    "k": _csv_list(int, "k"),
-    "snr_db": _csv_list(float, "snr_db"),
-    "mu": _csv_list(float, "mu"),
-    "algorithms": _names,
-    "runs": _scalar(int, "runs"),
-    "iterations": _scalar(int, "iterations"),
-    "seed": _scalar(int, "seed"),
-    "generator": str,
-    "lambda_lp": _scalar(float, "lambda_lp"),
-    "lambda_l0": _scalar(float, "lambda_l0"),
-    "p": _scalar(float, "p"),
-    "epsilon": _scalar(float, "epsilon"),
-    "beta": _scalar(float, "beta"),
-    "fading_period": _scalar(int, "fading_period"),
-}
-
-# Config-file key -> ExperimentConfig field.
-_FIELD_NAMES = {key: ("sparsity" if key == "k" else key) for key in _FIELD_PARSERS}
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,31 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo MSE learning curves for adaptive sparse MIMO channel estimation.",
     )
     parser.add_argument("--config", type=Path, help="flat key=value configuration file")
-    parser.add_argument("--algorithms", type=_argtype(_FIELD_PARSERS["algorithms"]),
-                        help="comma-separated subset of lms,nlms,lp_nlms,l0_nlms")
-    parser.add_argument("--nt", type=_argtype(_FIELD_PARSERS["nt"]), help="transmit antenna count")
-    parser.add_argument("--nr", type=_argtype(_FIELD_PARSERS["nr"]), help="receive antenna count")
-    parser.add_argument("--length", type=_argtype(_FIELD_PARSERS["length"]), help="taps per link")
-    parser.add_argument("--k", type=_argtype(_FIELD_PARSERS["k"]), help="comma-separated dominant-tap counts")
-    parser.add_argument("--snr-db", dest="snr_db", type=_argtype(_FIELD_PARSERS["snr_db"]),
-                        help="comma-separated SNR values in dB (inf = noiseless)")
-    parser.add_argument("--mu", type=_argtype(_FIELD_PARSERS["mu"]), help="comma-separated step sizes in (0, 2)")
-    parser.add_argument("--lambda-lp", dest="lambda_lp", type=_argtype(_FIELD_PARSERS["lambda_lp"]),
-                        help="fractional-norm penalty weight (default: 1e-4 x noise power)")
-    parser.add_argument("--lambda-l0", dest="lambda_l0", type=_argtype(_FIELD_PARSERS["lambda_l0"]),
-                        help="zero-attractor penalty weight (default: 1e-3 x noise power)")
-    parser.add_argument("--p", type=_argtype(_FIELD_PARSERS["p"]), help="fractional norm exponent in (0, 1]")
-    parser.add_argument("--epsilon", type=_argtype(_FIELD_PARSERS["epsilon"]), help="attractor denominator guard")
-    parser.add_argument("--beta", type=_argtype(_FIELD_PARSERS["beta"]), help="attraction band is |h| <= 1/beta")
-    parser.add_argument("--runs", type=_argtype(_FIELD_PARSERS["runs"]), help="Monte-Carlo runs per cell")
-    parser.add_argument("--iterations", type=_argtype(_FIELD_PARSERS["iterations"]), help="updates per run")
-    parser.add_argument("--seed", type=_argtype(_FIELD_PARSERS["seed"]), help="master seed")
-    parser.add_argument("--generator", choices=("gaussian", "bpsk", "ofdm"), help="training signal kind")
-    parser.add_argument("--fading-period", dest="fading_period", type=_argtype(_FIELD_PARSERS["fading_period"]),
-                        help="redraw the channel every N iterations (default: static)")
+    for key, (parse, text) in _FIELDS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=_argtype(key, parse), help=text)
     parser.add_argument("--out", type=Path, default=Path("results.csv"), help="output CSV path")
     parser.add_argument("--summary", action="store_true", help="print a per-cell text summary")
-    parser.add_argument("--workers", type=_argtype(_scalar(int, "workers")), default=1,
+    parser.add_argument("--workers", type=_argtype("workers", int), default=1,
                         help="parallel worker processes (results identical for any count)")
     parser.add_argument("--plot-script", dest="plot_script", type=Path,
                         help="also write a plotting script template for the CSV")
@@ -164,18 +138,18 @@ def _load_config_file(path: Path) -> dict:
             raise UsageError(f"config: {path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELDS:
             raise UsageError(f"config: unknown key {key!r} at {path}:{lineno}")
-        values[_FIELD_NAMES[key]] = _FIELD_PARSERS[key](value.strip())
+        values[_config_field(key)] = _parse_value(key, _FIELDS[key][0], value.strip())
     return values
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = _load_config_file(args.config) if args.config else {}
-    for key, field in _FIELD_NAMES.items():
+    for key in _FIELDS:
         flag_value = getattr(args, key)
         if flag_value is not None:
-            values[field] = flag_value
+            values[_config_field(key)] = flag_value
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

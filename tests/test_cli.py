@@ -1,11 +1,13 @@
 """Tests for configuration parsing, CSV/manifest emission, and exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from sparsemimo import cli
 from sparsemimo.cli import (
     CSV_HEADER,
     RunManifest,
@@ -18,7 +20,7 @@ from sparsemimo.cli import (
     replay_manifest,
     write_plot_script,
 )
-from sparsemimo.experiment import CellKey, MseTrace
+from sparsemimo.experiment import CellKey, ExperimentConfig, MseTrace
 
 
 def _trace(algorithm, values, **meta):
@@ -69,6 +71,14 @@ class TestParseConfig:
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError):
             parse_config(["--frobnicate", "1"])
+
+    def test_field_table_matches_config_fields(self):
+        keys = {"sparsity" if key == "k" else key for key in cli._FIELDS}
+        assert keys == {field.name for field in dataclasses.fields(ExperimentConfig)}
+
+    def test_unknown_generator_names_key(self):
+        with pytest.raises(UsageError, match="generator"):
+            parse_config(["--generator", "qam"])
 
     def test_unparsable_value_names_key(self):
         with pytest.raises(UsageError, match="snr_db"):
