@@ -44,7 +44,8 @@ class TrainingGenerator:
     * ``bpsk``     -- equiprobable +/-1.
     * ``ofdm``     -- real parts of unitary-IDFT time samples of random
       unit-modulus QPSK subcarrier symbols, consumed sequentially one
-      block at a time.
+      block at a time. The real part carries half of the complex power,
+      so it is scaled by sqrt(2) to unit power like the other kinds.
     """
 
     def __init__(self, kind: str, nt_count: int, rng: np.random.Generator, subcarriers: int = 64):
@@ -80,7 +81,7 @@ class TrainingGenerator:
         im = self._rng.integers(0, 2, (self.nt_count, c)) * 2.0 - 1.0
         symbols = (re + 1j * im) / math.sqrt(2.0)
         block = np.stack([ofdm_time_samples(symbols[i]) for i in range(self.nt_count)])
-        self._block = block.real
+        self._block = block.real * math.sqrt(2.0)
         self._cursor = 0
 
 

@@ -51,8 +51,8 @@ PINS = {
     "bpsk_static_nr4": ("c72f0ded4b6d6f14de9b895bb52eb77c09ff049cbe79a4e1b462c75c9e4e88c0", []),
     "gaussian_fading_nr4": ("7c42648477f27c6c7f95334b652595461bd4877780b4c29c6b97ed7f1877e7ef", []),
     "gaussian_static_nr1": ("0df98eb895467bac0a620391a6f7eb55208d5252364ad313114d238b7ec758fb", ["lms", "lms"]),
-    "ofdm_fading_nr1": ("8b7af63b5cdaf5d1dbc05198b5e5f2cdcc3b92859ccfbbb386ee2d7ea2a8c3c2", []),
-    "ofdm_static_nr4": ("184a534c4ef33855669b2e4ddc6adc63eefa885a0f92448e5c6705ea55f6c5b0", []),
+    "ofdm_fading_nr1": ("a5292714a0d4c907f261da2b9a31782affc9bfdebcfefa533ea22abc9cc48a7b", []),
+    "ofdm_static_nr4": ("a3d7f41f4998f395b2cf549e24898c0b9d184a26be2c10884676c02ec4df4614", []),
 }
 
 

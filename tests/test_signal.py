@@ -9,6 +9,7 @@ from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.estimator import HyperParams, update
 from sparsemimo.experiment import ExperimentConfig, run_single
 from sparsemimo.signal import (
+    GENERATOR_KINDS,
     TrainingGenerator,
     ofdm_time_samples,
     snr_to_variance,
@@ -23,8 +24,9 @@ class TestTrainingGenerator:
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert np.mean(draws**2) == 1.0
 
-    def test_gaussian_unit_power(self):
-        gen = TrainingGenerator("gaussian", 1, np.random.default_rng(1))
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_unit_power(self, kind):
+        gen = TrainingGenerator(kind, 1, np.random.default_rng(1))
         draws = np.array([gen.next()[0] for _ in range(100_000)])
         assert np.mean(draws**2) == pytest.approx(1.0, rel=0.02)
 
