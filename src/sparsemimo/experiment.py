@@ -91,6 +91,14 @@ class CellConfig:
 class ExperimentConfig:
     """Grid definition plus shared simulation parameters.
 
+    This is the one place the parameters are validated; the update rules
+    and :class:`HyperParams` trust what it resolves.
+
+    SNR convention: ``snr_db`` sets the noise variance ``1 / SNR`` on each
+    receive antenna. Training has unit power per transmit antenna and every
+    link unit energy, so the clean received power per antenna is ``nt``;
+    the per-antenna received SNR is therefore ``nt * SNR``.
+
     ``lambda_lp``/``lambda_l0`` of ``None`` select the default rule of
     scaling the regularizers with the per-cell noise power; explicit
     values are used verbatim in every cell. ``fading_period`` of ``None``

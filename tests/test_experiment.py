@@ -279,3 +279,24 @@ class TestRunGrid:
         assert np.isfinite(a[key].values).all()
         assert a[key].values[-1] < a[key].values[0]  # it is actually learning
         assert a[key].values.tobytes() == b[key].values.tobytes()
+
+
+class TestTheory:
+    @pytest.mark.parametrize("mu, floor_db", [(0.5, -11.48), (1.0, -6.71)])
+    def test_nlms_floor_matches_steady_state_theory(self, mu, floor_db):
+        # White Gaussian input, NLMS steady-state MSD summed over the nr rows:
+        # nr * mu * sigma^2 / (2 - mu) * N / (N - 2), N = nt * L (Sayed,
+        # Adaptive Filters, 2008). sigma^2 = 1/SNR per receive antenna is the
+        # SNR convention; a change to it, to the noise draw or to the update
+        # moves the floor.
+        runs, nt, nr, length = 20, 2, 2, 16
+        config = ExperimentConfig(
+            nt=nt, nr=nr, length=length, sparsity=(1,), snr_db=(10.0,), mu=(mu,),
+            algorithms=("nlms",), runs=runs, iterations=2000, seed=1,
+        )
+        n = nt * length
+        theory = nr * mu * snr_to_variance(10.0) / (2.0 - mu) * n / (n - 2)
+        assert 10.0 * math.log10(theory) == pytest.approx(floor_db, abs=0.005)
+        trace = run_grid(config)[CellKey("nlms", 10.0, mu, 1, nt, nr)]
+        simulated_db = 10.0 * math.log10(steady_state_mse(trace))
+        assert simulated_db == pytest.approx(floor_db, abs=3.0 / math.sqrt(runs))
