@@ -156,11 +156,11 @@ class TestConfigValidation:
             ({"seed": -1}, "seed"),
             ({"generator": "qam"}, "generator"),
             ({"lambda_lp": -1.0}, "lambda_lp"),
-            ({"lambda_l0": -1.0}, "lambda_l0"),
             ({"p": 1.5}, "p"),
             ({"epsilon": 0.0}, "epsilon"),
             ({"beta": 0.0}, "beta"),
             ({"fading_period": 0}, "fading_period"),
+            ({"lambda_l0": -1.0}, "lambda_l0"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):

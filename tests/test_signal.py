@@ -77,6 +77,24 @@ class TestNoise:
     def test_infinite_snr_is_noiseless(self):
         assert snr_to_variance(math.inf) == 0.0
 
+    def test_empirical_variance(self):
+        # one bpsk tap, zero channel: an NLMS step with mu=1 sets the
+        # estimate to z * x, so each squared error is the noise sample z^2
+        # and their mean is the noise variance 1/SNR of the SNR convention
+        squared = _noise_only_run(10.0, np.random.default_rng(3))
+        assert np.mean(squared[1:]) == pytest.approx(snr_to_variance(10.0), rel=0.03)
+
+    def test_distinct_streams_are_independent(self):
+        a = _noise_only_run(10.0, np.random.default_rng(1))
+        b = _noise_only_run(10.0, np.random.default_rng(2))
+        assert not np.array_equal(a, b)
+
+
+def _noise_only_run(snr_db, rng, iterations=20_000):
+    config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), generator="bpsk",
+                              iterations=iterations)
+    return run_single(np.zeros((1, 1)), config.cell(snr_db, 1.0, 1), "nlms", rng)
+
 
 def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
     """Plain-python reference run with its own sample history.
@@ -126,6 +144,15 @@ class TestSystemOutput:
             hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
             expected = _naive_run(rows, nt, length, 10.0, iterations, hyper, seed=4)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_identity_channel_passes_sample_through(self):
+        # noiseless y(1) = s(1): a single NLMS step with mu=1 from the
+        # all-zero cold start then recovers the channel up to NLMS_DELTA
+        config = ExperimentConfig(nt=1, nr=1, length=3, sparsity=(1,), iterations=5)
+        rows = np.array([[1.0, 0.0, 0.0]])
+        squared = run_single(rows, config.cell(math.inf, 1.0, 1), "nlms", np.random.default_rng(0))
+        assert squared[0] == 1.0
+        assert np.all(squared[1:] < 1e-20)
 
     def test_dimension_mismatch_rejected(self):
         cell = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), iterations=5).cell(10.0, 0.5, 1)
