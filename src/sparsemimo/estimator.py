@@ -19,9 +19,9 @@ zero while dominant taps are left to the normalized gradient step. The
 smooth exponential attractor (the exact penalty gradient that the
 piecewise rule approximates) and its penalty are kept as test oracles.
 
-The rules do not check their arguments or the finiteness of the result:
-``ExperimentConfig`` validates the knobs once, and a run checks its
-squared error once per iteration.
+Neither :class:`HyperParams` nor the rules validate the knobs or check the
+result for finiteness: ``ExperimentConfig`` validates the knobs once, and a
+run checks its squared error once per iteration.
 """
 from __future__ import annotations
 
@@ -88,6 +88,7 @@ def nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
     if den == 0.0:
         # all-zero regressor and no guard: nothing to learn from
         return h
+    # the grouping is part of the pinned output: regrouping moves CSV bits
     return h + (hyper.mu * e / den) * x
 
 
