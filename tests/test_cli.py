@@ -274,3 +274,22 @@ class TestMainAndManifest:
             "config", "version", "seed", "started", "finished", "divergence_counts",
         }
         assert payload["config"]["algorithms"] == ["nlms", "l0_nlms"]
+
+    def test_divergence_counts_per_cell(self, tmp_path):
+        # lms at mu=0.5 loses one of four runs by iteration 700 and at mu=1
+        # every run (seed-pinned); the normalized rule never diverges
+        out = tmp_path / "res.csv"
+        args = [
+            "--runs", "4", "--iterations", "700", "--length", "8",
+            "--snr-db", "10", "--mu", "0.5,1", "--k", "1",
+            "--algorithms", "lms,nlms", "--seed", "3", "--out", str(out),
+        ]
+        assert main(args) == 0
+        counts = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["divergence_counts"]
+        cell = "snr_db=10 mu={mu} k=1 nt=2 nr=2"
+        assert counts == {
+            "algorithm=lms " + cell.format(mu="0.5"): 1,
+            "algorithm=lms " + cell.format(mu="1"): 4,
+            "algorithm=nlms " + cell.format(mu="0.5"): 0,
+            "algorithm=nlms " + cell.format(mu="1"): 0,
+        }

@@ -216,6 +216,20 @@ class TestRunGrid:
             values = result[CellKey(algorithm, 10.0, 0.5, 1, 2, 2)].values
             assert values.tobytes() == reference.tobytes()
 
+    def test_snr_cells_share_noise_realizations(self):
+        # one tap, bpsk and a unit NLMS step: each estimate lands on the
+        # channel plus the noise sample, so every squared error after the
+        # cold start is sigma^2 * u^2 with u the unit-scale noise draw. Only
+        # cells that share u give the exact variance ratio 10 at 5 vs 15 dB.
+        config = ExperimentConfig(
+            nt=1, nr=1, length=1, sparsity=(1,), snr_db=(5.0, 15.0), mu=(1.0,),
+            algorithms=("nlms",), runs=3, iterations=200, seed=1, generator="bpsk",
+        )
+        result = run_grid(config)
+        low = result[CellKey("nlms", 5.0, 1.0, 1, 1, 1)]
+        high = result[CellKey("nlms", 15.0, 1.0, 1, 1, 1)]
+        np.testing.assert_allclose(low.values[1:] / high.values[1:], 10.0, rtol=1e-9)
+
     def test_realization_digests_are_paired(self):
         config = _tiny_config(algorithms=("nlms", "l0_nlms"), snr_db=(5.0, 15.0), mu=(0.5, 1.0))
         result = run_grid(config)
