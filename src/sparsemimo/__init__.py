@@ -38,10 +38,8 @@ from .experiment import (
     ExperimentConfig,
     ExperimentError,
     GridResult,
-    MseTrace,
     average_mse,
     first_iteration_below,
-    realization_digest,
     run_grid,
     run_single,
     steady_state_mse,
@@ -72,10 +70,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentError",
     "GridResult",
-    "MseTrace",
     "average_mse",
     "first_iteration_below",
-    "realization_digest",
     "run_grid",
     "run_single",
     "steady_state_mse",

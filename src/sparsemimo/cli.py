@@ -18,7 +18,6 @@ from .experiment import (
     CellKey,
     ExperimentConfig,
     GridResult,
-    MseTrace,
     first_iteration_below,
     run_grid,
     steady_state_mse,
@@ -181,15 +180,15 @@ def emit_csv(traces, path) -> None:
     lines = [CSV_HEADER]
     for key, trace in items:
         with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(trace.values)
+            db = 10.0 * np.log10(trace)
         prefix = f"{key.algorithm},{_fmt(key.snr_db)},{_fmt(key.mu)},{key.k},{key.nt},{key.nr}"
-        for i in range(trace.values.size):
-            lines.append(f"{prefix},{i},{_fmt(trace.values[i])},{_fmt(db[i])}")
+        for i in range(trace.size):
+            lines.append(f"{prefix},{i},{_fmt(trace[i])},{_fmt(db[i])}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def _ss_db(trace: MseTrace) -> float:
+def _ss_db(trace: np.ndarray) -> float:
     ss = steady_state_mse(trace)
     return 10.0 * math.log10(ss) if ss > 0 else -math.inf
 
@@ -212,7 +211,7 @@ def emit_summary(traces) -> str:
     items = [(key, traces[key]) for key in sorted(traces)]
     if not items:
         raise ValueError("no traces to summarize")
-    cells: dict[tuple, dict[str, MseTrace]] = {}
+    cells: dict[tuple, dict[str, np.ndarray]] = {}
     for key, trace in items:
         cells.setdefault((key.nt, key.nr, key.k, key.snr_db, key.mu), {})[key.algorithm] = trace
     out = []
@@ -256,18 +255,13 @@ class RunManifest:
 
     @classmethod
     def collect(cls, config: ExperimentConfig, result: GridResult, started: str, finished: str) -> "RunManifest":
-        counts = {}
-        for key in result:
-            counts[_key_string(key)] = len(result[key].metadata.get("diverged_runs", []))
-        for key in result.failures:
-            counts[_key_string(key)] = config.runs
         return cls(
             config=dataclasses.asdict(config),
             version=__version__,
             seed=config.seed,
             started=started,
             finished=finished,
-            divergence_counts=counts,
+            divergence_counts={_key_string(key): len(runs) for key, runs in result.diverged.items()},
         )
 
     def write(self, path) -> None:
@@ -283,10 +277,7 @@ class RunManifest:
         return cls(**payload)
 
     def experiment_config(self) -> ExperimentConfig:
-        values = dict(self.config)
-        for name in ("sparsity", "snr_db", "mu", "algorithms"):
-            values[name] = tuple(values[name])
-        return ExperimentConfig(**values)
+        return ExperimentConfig(**self.config)
 
 
 def _key_string(key: CellKey) -> str:

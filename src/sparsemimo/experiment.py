@@ -6,14 +6,18 @@ from the master seed and the data-relevant cell parameters only, so every
 algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
+
+A cell's result is its learning curve: one float64 array of the mean
+squared error per iteration over the runs that did not diverge.
+:class:`GridResult` maps each :class:`CellKey` to that array and lists, per
+cell, the runs it dropped.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,11 +34,9 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "ExperimentError",
-    "MseTrace",
     "GridResult",
     "average_mse",
     "first_iteration_below",
-    "realization_digest",
     "run_grid",
     "run_single",
     "steady_state_mse",
@@ -201,26 +203,6 @@ class ExperimentConfig:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class MseTrace:
-    """Per-iteration MSE averaged across surviving Monte-Carlo runs."""
-
-    algorithm: str
-    values: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("trace values must be 1-D")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("trace values must be finite and nonnegative")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -> np.random.SeedSequence:
     # Only data-relevant parameters enter the key: algorithm, mu, and snr
     # are excluded so those axes share realizations (paired comparison).
@@ -242,24 +224,6 @@ def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -
 def _make_channel(config: ExperimentConfig, k: int, run: int) -> np.ndarray:
     rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL))
     return assemble_mimo_channel(config.nt, config.nr, config.length, k, rng)
-
-
-def realization_digest(config: ExperimentConfig, k: int, run: int, peek: int = 8) -> str:
-    """Fingerprint of one run's channel, training, and base noise draws.
-
-    Equal digests across cells certify that those cells saw identical
-    realizations at this run index. The noise draws are taken at unit
-    scale; per-cell noise is a deterministic rescaling of the same stream.
-    """
-    rows = _make_channel(config, k, run)
-    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
-    generator = TrainingGenerator(config.generator, config.nt, rng)
-    digest = hashlib.sha256()
-    digest.update(rows.tobytes())
-    for _ in range(peek):
-        digest.update(generator.next().tobytes())
-        digest.update(rng.normal(0.0, 1.0, config.nr).tobytes())
-    return digest.hexdigest()
 
 
 def run_single(rows: np.ndarray, cell: CellConfig, algorithm: str, rng: np.random.Generator) -> np.ndarray:
@@ -303,7 +267,7 @@ def run_single(rows: np.ndarray, cell: CellConfig, algorithm: str, rng: np.rando
     return squared
 
 
-def average_mse(runs, algorithm: str = "", metadata: Mapping | None = None) -> MseTrace:
+def average_mse(runs) -> np.ndarray:
     """Pointwise mean of the surviving runs' squared-error sequences."""
     sequences = [np.asarray(seq, dtype=np.float64) for seq in runs]
     if not sequences:
@@ -312,35 +276,41 @@ def average_mse(runs, algorithm: str = "", metadata: Mapping | None = None) -> M
     if any(seq.size != length for seq in sequences):
         raise ValueError("all squared-error sequences must share one length")
     values = np.mean(np.stack(sequences), axis=0)
-    return MseTrace(algorithm, values, dict(metadata or {}))
+    if not np.isfinite(values).all() or (values < 0).any():
+        raise ValueError("mean squared error must be finite and nonnegative")
+    return values
 
 
-def steady_state_mse(trace: MseTrace, tail_fraction: float = 0.2) -> float:
+def steady_state_mse(trace: np.ndarray, tail_fraction: float = 0.2) -> float:
     """Mean over the final ``tail_fraction`` of the trace."""
     if not 0 < tail_fraction <= 1:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    tail = max(1, int(round(tail_fraction * trace.values.size)))
-    return float(trace.values[-tail:].mean())
+    tail = max(1, int(round(tail_fraction * trace.size)))
+    return float(trace[-tail:].mean())
 
 
-def first_iteration_below(trace: MseTrace, level: float) -> int:
+def first_iteration_below(trace: np.ndarray, level: float) -> int:
     """First iteration whose MSE is at or below ``level``; trace length if never."""
-    hits = np.nonzero(trace.values <= level)[0]
-    return int(hits[0]) if hits.size else trace.values.size
+    hits = np.nonzero(trace <= level)[0]
+    return int(hits[0]) if hits.size else trace.size
 
 
 class GridResult(Mapping):
-    """Traces keyed by :class:`CellKey`, plus cells whose every run diverged.
+    """Mean-MSE arrays keyed by :class:`CellKey`, plus the dropped runs.
 
-    Behaves as a read-only mapping of the successful cells; ``failures``
-    maps fully diverged cells to a reason string.
+    Behaves as a read-only mapping of the cells with a surviving run.
+    ``diverged`` maps every cell, fully diverged ones included, to the
+    indices of its dropped runs; ``failures`` maps fully diverged cells to
+    a reason string.
     """
 
-    def __init__(self, traces: Mapping[CellKey, MseTrace], failures: Mapping[CellKey, str]):
+    def __init__(self, traces: Mapping[CellKey, np.ndarray], diverged: Mapping[CellKey, list[int]],
+                 failures: Mapping[CellKey, str]):
         self._traces = dict(traces)
+        self.diverged = dict(diverged)
         self.failures = dict(failures)
 
-    def __getitem__(self, key: CellKey) -> MseTrace:
+    def __getitem__(self, key: CellKey) -> np.ndarray:
         return self._traces[key]
 
     def __iter__(self):
@@ -393,30 +363,11 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
             chunk = max(1, len(tasks) // (8 * workers))
             collect(pool.map(_grid_task, tasks, chunksize=chunk))
 
-    digests = {k: realization_digest(config, k, 0) for k in {key.k for key in keys}}
-    traces: dict[CellKey, MseTrace] = {}
+    traces: dict[CellKey, np.ndarray] = {}
     failures: dict[CellKey, str] = {}
     for key in keys:
-        hyper = config.hyper_for(key.snr_db, key.mu)
-        metadata = {
-            **key._asdict(),
-            "length": config.length,
-            "iterations": config.iterations,
-            "runs": config.runs,
-            "surviving_runs": len(survivors[key]),
-            "diverged_runs": diverged[key],
-            "seed": config.seed,
-            "generator": config.generator,
-            "fading_period": config.fading_period,
-            "realization_digest": digests[key.k],
-            "lambda_lp": hyper.lambda_lp,
-            "lambda_l0": hyper.lambda_l0,
-            "p": hyper.p,
-            "epsilon": hyper.epsilon,
-            "beta": hyper.beta,
-        }
         if survivors[key]:
-            traces[key] = average_mse(survivors[key], algorithm=key.algorithm, metadata=metadata)
+            traces[key] = average_mse(survivors[key])
         else:
             failures[key] = f"all {config.runs} runs diverged"
-    return GridResult(traces, failures)
+    return GridResult(traces, diverged, failures)

@@ -120,9 +120,9 @@ def test_criterion_5_reduction_to_nlms():
         runs=3, iterations=200, seed=SEED,
     )
     result = run_grid(config)
-    reference = result[CellKey("nlms", 10.0, 0.5, 1, 2, 2)].values
+    reference = result[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
     identical = all(
-        result[CellKey(algorithm, 10.0, 0.5, 1, 2, 2)].values.tobytes() == reference.tobytes()
+        result[CellKey(algorithm, 10.0, 0.5, 1, 2, 2)].tobytes() == reference.tobytes()
         for algorithm in ("lp_nlms", "l0_nlms")
     )
     _report(5, "zero penalties reduce to NLMS bit-for-bit", identical,
@@ -182,8 +182,8 @@ def test_criterion_8_cold_start_and_noiseless_convergence():
         algorithms=("nlms",), runs=3, iterations=2000, seed=SEED,
     )
     trace = run_grid(config)[CellKey("nlms", math.inf, 1.0, 1, 2, 2)]
-    cold = float(trace.values[0])
-    final = float(trace.values[-1])
+    cold = float(trace[0])
+    final = float(trace[-1])
     detail = f"iteration-0 MSE = {cold!r} (4 +/- 1e-9), final noiseless MSE = {final:.2e} (< 1e-6)"
     _report(8, "cold start energy and noiseless convergence",
             abs(cold - 4.0) <= 1e-9 and final < 1e-6, detail)

@@ -20,11 +20,11 @@ from sparsemimo.cli import (
     replay_manifest,
     write_plot_script,
 )
-from sparsemimo.experiment import CellKey, ExperimentConfig, MseTrace
+from sparsemimo.experiment import CellKey, ExperimentConfig
 
 
-def _trace(algorithm, values, **meta):
-    return MseTrace(algorithm, np.asarray(values, dtype=float), dict(meta))
+def _trace(values):
+    return np.asarray(values, dtype=float)
 
 
 def _key(algorithm, snr=10.0, mu=0.5, k=1, nt=2, nr=2):
@@ -124,7 +124,7 @@ class TestParseConfig:
 class TestEmitCsv:
     def test_header_and_row_count(self, tmp_path):
         out = tmp_path / "t.csv"
-        emit_csv({_key("nlms"): _trace("nlms", [1.0, 0.5, 0.25])}, out)
+        emit_csv({_key("nlms"): _trace([1.0, 0.5, 0.25])}, out)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
@@ -132,13 +132,13 @@ class TestEmitCsv:
 
     def test_unit_mse_maps_to_zero_db(self, tmp_path):
         out = tmp_path / "t.csv"
-        emit_csv({_key("nlms"): _trace("nlms", [1.0])}, out)
+        emit_csv({_key("nlms"): _trace([1.0])}, out)
         row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert float(row[-1]) == 0.0
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "t.csv"
-        emit_csv({_key("nlms"): _trace("nlms", [1.0, 2.0])}, out)
+        emit_csv({_key("nlms"): _trace([1.0, 2.0])}, out)
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -147,16 +147,16 @@ class TestEmitCsv:
         rng = np.random.default_rng(0)
         values = np.abs(rng.standard_normal(50)) * 10.0 ** rng.integers(-9, 3, 50)
         out = tmp_path / "t.csv"
-        emit_csv({_key("nlms"): _trace("nlms", values)}, out)
+        emit_csv({_key("nlms"): _trace(values)}, out)
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         parsed = np.array([float(r.split(",")[7]) for r in rows])
         assert parsed.tobytes() == values.tobytes()
 
     def test_rows_sorted_by_key_then_iteration(self, tmp_path):
         traces = {
-            _key("nlms", snr=15.0): _trace("nlms", [1.0]),
-            _key("l0_nlms", snr=5.0): _trace("l0_nlms", [1.0]),
-            _key("nlms", snr=5.0): _trace("nlms", [1.0]),
+            _key("nlms", snr=15.0): _trace([1.0]),
+            _key("l0_nlms", snr=5.0): _trace([1.0]),
+            _key("nlms", snr=5.0): _trace([1.0]),
         }
         out = tmp_path / "t.csv"
         emit_csv(traces, out)
@@ -165,7 +165,7 @@ class TestEmitCsv:
 
     def test_zero_mse_writes_minus_inf_db(self, tmp_path):
         out = tmp_path / "t.csv"
-        emit_csv({_key("nlms"): _trace("nlms", [0.0])}, out)
+        emit_csv({_key("nlms"): _trace([0.0])}, out)
         row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[-1] == "-inf"
         assert float(row[-1]) == -math.inf
@@ -178,28 +178,28 @@ class TestEmitCsv:
 class TestEmitSummary:
     def test_verdict_lists_best_first(self):
         traces = {
-            _key("nlms"): _trace("nlms", [1e-2] * 10),
-            _key("l0_nlms"): _trace("l0_nlms", [1e-3] * 10),
+            _key("nlms"): _trace([1e-2] * 10),
+            _key("l0_nlms"): _trace([1e-3] * 10),
         }
         text = emit_summary(traces)
         assert "verdict: l0_nlms < nlms" in text
 
     def test_single_algorithm_has_no_verdict(self):
-        text = emit_summary({_key("nlms"): _trace("nlms", [1e-2] * 10)})
+        text = emit_summary({_key("nlms"): _trace([1e-2] * 10)})
         assert "verdict" not in text
 
     def test_equal_values_declared_tie(self):
         traces = {
-            _key("nlms"): _trace("nlms", [1e-2] * 10),
-            _key("lp_nlms"): _trace("lp_nlms", [1.01e-2] * 10),
+            _key("nlms"): _trace([1e-2] * 10),
+            _key("lp_nlms"): _trace([1.01e-2] * 10),
         }
         text = emit_summary(traces)
         assert "~" in text.split("verdict:")[1].splitlines()[0]
 
     def test_sparsity_spread_reported(self):
         traces = {
-            _key("nlms", k=1): _trace("nlms", [1e-2] * 10),
-            _key("nlms", k=4): _trace("nlms", [1.2e-2] * 10),
+            _key("nlms", k=1): _trace([1e-2] * 10),
+            _key("nlms", k=4): _trace([1.2e-2] * 10),
         }
         text = emit_summary(traces)
         assert "nlms sparsity sensitivity" in text

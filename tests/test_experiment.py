@@ -12,10 +12,8 @@ from sparsemimo.experiment import (
     CellKey,
     ExperimentConfig,
     ExperimentError,
-    MseTrace,
     average_mse,
     first_iteration_below,
-    realization_digest,
     run_grid,
     run_single,
     steady_state_mse,
@@ -72,17 +70,16 @@ class TestRunSingle:
 
 class TestAverageMse:
     def test_single_run_is_identity(self):
-        trace = average_mse([np.array([4.0, 2.0, 1.0])], algorithm="nlms")
-        assert np.array_equal(trace.values, [4.0, 2.0, 1.0])
-        assert trace.algorithm == "nlms"
+        trace = average_mse([np.array([4.0, 2.0, 1.0])])
+        assert np.array_equal(trace, [4.0, 2.0, 1.0])
 
     def test_pointwise_mean(self):
         trace = average_mse([np.full(5, 2.0), np.full(5, 4.0)])
-        assert np.array_equal(trace.values, np.full(5, 3.0))
+        assert np.array_equal(trace, np.full(5, 3.0))
 
     def test_perfect_estimates_average_to_zero(self):
         trace = average_mse([np.zeros(4), np.zeros(4)])
-        assert not trace.values.any()
+        assert not trace.any()
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ExperimentError):
@@ -95,35 +92,32 @@ class TestAverageMse:
 
 class TestTraceSummaries:
     def test_steady_state_of_constant_trace(self):
-        trace = MseTrace("nlms", np.full(10, 0.25))
-        assert steady_state_mse(trace, 0.2) == 0.25
+        assert steady_state_mse(np.full(10, 0.25), 0.2) == 0.25
 
     def test_full_tail_is_whole_trace_mean(self):
         values = np.arange(1.0, 11.0)
-        trace = MseTrace("nlms", values)
-        assert steady_state_mse(trace, 1.0) == pytest.approx(values.mean())
+        assert steady_state_mse(values, 1.0) == pytest.approx(values.mean())
 
     def test_decaying_trace_tail_below_whole_mean(self):
         values = np.geomspace(8.0, 0.01, 100)
-        trace = MseTrace("nlms", values)
-        assert steady_state_mse(trace, 0.2) < values.mean()
+        assert steady_state_mse(values, 0.2) < values.mean()
 
     def test_bad_tail_fraction_rejected(self):
-        trace = MseTrace("nlms", np.ones(4))
         for fraction in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                steady_state_mse(trace, fraction)
+                steady_state_mse(np.ones(4), fraction)
 
     def test_first_iteration_below(self):
-        trace = MseTrace("nlms", np.array([4.0, 2.0, 1.0, 0.5]))
+        trace = np.array([4.0, 2.0, 1.0, 0.5])
         assert first_iteration_below(trace, 2.0) == 1
         assert first_iteration_below(trace, 0.1) == 4
 
     def test_trace_rejects_bad_values(self):
+        # average_mse is where a trace is made; it refuses impossible means
         with pytest.raises(ValueError):
-            MseTrace("nlms", np.array([1.0, -0.5]))
+            average_mse([np.array([1.0, -0.5])])
         with pytest.raises(ValueError):
-            MseTrace("nlms", np.array([1.0, math.nan]))
+            average_mse([np.array([1.0, math.nan])])
 
 
 class TestConfigValidation:
@@ -188,13 +182,13 @@ class TestRunGrid:
         assert len(result) == 1
         key = next(iter(result))
         assert key == CellKey("nlms", 10.0, 0.5, 1, 2, 2)
-        assert len(result[key].values) == 50
+        assert len(result[key]) == 50
 
     def test_same_seed_is_bit_identical(self):
         config = _tiny_config(algorithms=("nlms", "l0_nlms"))
         a, b = run_grid(config), run_grid(config)
         for key in a:
-            assert a[key].values.tobytes() == b[key].values.tobytes()
+            assert a[key].tobytes() == b[key].tobytes()
 
     def test_worker_count_does_not_change_results(self):
         config = _tiny_config(algorithms=("nlms", "lp_nlms"), runs=4)
@@ -202,7 +196,7 @@ class TestRunGrid:
         parallel = run_grid(config, workers=4)
         assert list(serial) == list(parallel)
         for key in serial:
-            assert serial[key].values.tobytes() == parallel[key].values.tobytes()
+            assert serial[key].tobytes() == parallel[key].tobytes()
 
     def test_algorithms_share_realizations_within_a_run(self):
         # paired common random numbers: with both penalties disabled the
@@ -211,9 +205,9 @@ class TestRunGrid:
             algorithms=("nlms", "lp_nlms", "l0_nlms"), lambda_lp=0.0, lambda_l0=0.0, runs=3
         )
         result = run_grid(config)
-        reference = result[CellKey("nlms", 10.0, 0.5, 1, 2, 2)].values
+        reference = result[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
         for algorithm in ("lp_nlms", "l0_nlms"):
-            values = result[CellKey(algorithm, 10.0, 0.5, 1, 2, 2)].values
+            values = result[CellKey(algorithm, 10.0, 0.5, 1, 2, 2)]
             assert values.tobytes() == reference.tobytes()
 
     def test_snr_cells_share_noise_realizations(self):
@@ -228,30 +222,17 @@ class TestRunGrid:
         result = run_grid(config)
         low = result[CellKey("nlms", 5.0, 1.0, 1, 1, 1)]
         high = result[CellKey("nlms", 15.0, 1.0, 1, 1, 1)]
-        np.testing.assert_allclose(low.values[1:] / high.values[1:], 10.0, rtol=1e-9)
+        np.testing.assert_allclose(low[1:] / high[1:], 10.0, rtol=1e-9)
 
-    def test_realization_digests_are_paired(self):
-        config = _tiny_config(algorithms=("nlms", "l0_nlms"), snr_db=(5.0, 15.0), mu=(0.5, 1.0))
+    def test_diverged_lists_every_cell(self):
+        # lms drops both runs (a failure), nlms none; both cells are listed
+        config = _tiny_config(algorithms=("lms", "nlms"), iterations=800, runs=2)
         result = run_grid(config)
-        digests = {result[key].metadata["realization_digest"] for key in result}
-        assert len(digests) == 1  # same k: every cell saw the same data
-        other_k = realization_digest(_tiny_config(sparsity=(2,)), 2, 0)
-        assert other_k not in digests
-
-    def test_digest_depends_on_seed(self):
-        assert realization_digest(_tiny_config(), 1, 0) != realization_digest(
-            _tiny_config(seed=4), 1, 0
-        )
-
-    def test_metadata_snapshot(self):
-        config = _tiny_config()
-        result = run_grid(config)
-        meta = result[CellKey("nlms", 10.0, 0.5, 1, 2, 2)].metadata
-        assert meta["runs"] == 2
-        assert meta["surviving_runs"] == 2
-        assert meta["diverged_runs"] == []
-        assert meta["seed"] == 3
-        assert meta["lambda_lp"] == pytest.approx(LAMBDA_LP_NOISE_RATIO * snr_to_variance(10.0))
+        assert result.diverged == {
+            CellKey("lms", 10.0, 0.5, 1, 2, 2): [0, 1],
+            CellKey("nlms", 10.0, 0.5, 1, 2, 2): [],
+        }
+        assert list(result.failures) == [CellKey("lms", 10.0, 0.5, 1, 2, 2)]
 
     def test_diverging_cell_is_reported_not_fatal(self):
         # plain LMS at mu=0.5 with unit-power training and 16 unknowns is
@@ -269,10 +250,8 @@ class TestRunGrid:
         config = _tiny_config(algorithms=("lms",), iterations=700, runs=4, seed=3)
         result = run_grid(config)
         key = CellKey("lms", 10.0, 0.5, 1, 2, 2)
-        meta = result[key].metadata
-        assert meta["surviving_runs"] == 3
-        assert meta["diverged_runs"] == [0]
-        assert np.isfinite(result[key].values).all()
+        assert result.diverged[key] == [0]
+        assert np.isfinite(result[key]).all()
 
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
@@ -290,9 +269,9 @@ class TestRunGrid:
         config = _tiny_config(generator=generator, iterations=120)
         a, b = run_grid(config), run_grid(config)
         key = CellKey("nlms", 10.0, 0.5, 1, 2, 2)
-        assert np.isfinite(a[key].values).all()
-        assert a[key].values[-1] < a[key].values[0]  # it is actually learning
-        assert a[key].values.tobytes() == b[key].values.tobytes()
+        assert np.isfinite(a[key]).all()
+        assert a[key][-1] < a[key][0]  # it is actually learning
+        assert a[key].tobytes() == b[key].tobytes()
 
 
 class TestTheory:
