@@ -17,16 +17,12 @@ from .signal import (
     TrainingGenerator,
     ofdm_time_samples,
     snr_to_variance,
-    variance_to_snr,
 )
 from .estimator import (
     ALGORITHMS,
     HyperParams,
-    j_attractor,
     l0_nlms_update,
     lms_update,
-    lp_attractor,
-    lp_norm,
     lp_nlms_update,
     nlms_update,
     update,
@@ -54,13 +50,9 @@ __all__ = [
     "TrainingGenerator",
     "ofdm_time_samples",
     "snr_to_variance",
-    "variance_to_snr",
     "HyperParams",
-    "j_attractor",
     "l0_nlms_update",
     "lms_update",
-    "lp_attractor",
-    "lp_norm",
     "lp_nlms_update",
     "nlms_update",
     "update",

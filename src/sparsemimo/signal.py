@@ -17,10 +17,12 @@ __all__ = [
     "TrainingGenerator",
     "ofdm_time_samples",
     "snr_to_variance",
-    "variance_to_snr",
 ]
 
 GENERATOR_KINDS = ("gaussian", "bpsk", "ofdm")
+
+# Subcarriers per OFDM block.
+SUBCARRIERS = 64
 
 
 def ofdm_time_samples(freq_symbols) -> np.ndarray:
@@ -43,21 +45,18 @@ class TrainingGenerator:
     * ``gaussian`` -- zero-mean unit-power normal samples (default).
     * ``bpsk``     -- equiprobable +/-1.
     * ``ofdm``     -- real parts of unitary-IDFT time samples of random
-      unit-modulus QPSK subcarrier symbols, consumed sequentially one
-      block at a time. The real part carries half of the complex power,
+      unit-modulus QPSK symbols on ``SUBCARRIERS`` subcarriers, consumed
+      sequentially one block at a time. The real part carries half of the complex power,
       so it is scaled by sqrt(2) to unit power like the other kinds.
     """
 
-    def __init__(self, kind: str, nt_count: int, rng: np.random.Generator, subcarriers: int = 64):
+    def __init__(self, kind: str, nt_count: int, rng: np.random.Generator):
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown training generator {kind!r}; expected one of {GENERATOR_KINDS}")
         if nt_count < 1:
             raise ValueError("nt_count must be at least 1")
-        if subcarriers < 1:
-            raise ValueError("subcarriers must be at least 1")
         self.kind = kind
         self.nt_count = nt_count
-        self.subcarriers = subcarriers
         self._rng = rng
         self._block = None
         self._cursor = 0
@@ -69,16 +68,15 @@ class TrainingGenerator:
             return rng.standard_normal(self.nt_count)
         if self.kind == "bpsk":
             return rng.integers(0, 2, self.nt_count) * 2.0 - 1.0
-        if self._block is None or self._cursor >= self.subcarriers:
+        if self._block is None or self._cursor >= SUBCARRIERS:
             self._refill()
         column = self._block[:, self._cursor]
         self._cursor += 1
         return column
 
     def _refill(self):
-        c = self.subcarriers
-        re = self._rng.integers(0, 2, (self.nt_count, c)) * 2.0 - 1.0
-        im = self._rng.integers(0, 2, (self.nt_count, c)) * 2.0 - 1.0
+        re = self._rng.integers(0, 2, (self.nt_count, SUBCARRIERS)) * 2.0 - 1.0
+        im = self._rng.integers(0, 2, (self.nt_count, SUBCARRIERS)) * 2.0 - 1.0
         symbols = (re + 1j * im) / math.sqrt(2.0)
         block = np.stack([ofdm_time_samples(symbols[i]) for i in range(self.nt_count)])
         self._block = block.real * math.sqrt(2.0)
@@ -88,8 +86,3 @@ class TrainingGenerator:
 def snr_to_variance(snr_db: float, signal_power: float = 1.0) -> float:
     """Noise power for a given SNR in dB; ``inf`` maps to the noiseless 0."""
     return signal_power / 10.0 ** (snr_db / 10.0)
-
-
-def variance_to_snr(variance: float, signal_power: float = 1.0) -> float:
-    """Inverse of :func:`snr_to_variance`."""
-    return 10.0 * math.log10(signal_power / variance)

@@ -107,11 +107,6 @@ class TestLpNorm:
     def test_zero_vector(self):
         assert lp_norm(np.zeros(7), 0.7) == 0.0
 
-    def test_exponent_out_of_range(self):
-        for p in (0.0, -1.0, 2.5):
-            with pytest.raises(ValueError):
-                lp_norm([1.0], p)
-
 
 class TestLpAttractor:
     def test_zero_vector_maps_to_zero(self):
@@ -139,10 +134,6 @@ class TestLpAttractor:
         out = lp_attractor(h, 0.5, 0.02)
         nonzero = h != 0
         assert np.all(np.sign(out[nonzero]) == np.sign(h[nonzero]))
-
-    def test_requires_positive_epsilon(self):
-        with pytest.raises(ValueError):
-            lp_attractor(np.ones(2), 0.5, 0.0)
 
 
 class TestLpNlms:

@@ -13,7 +13,6 @@ from sparsemimo.signal import (
     TrainingGenerator,
     ofdm_time_samples,
     snr_to_variance,
-    variance_to_snr,
 )
 
 
@@ -35,10 +34,10 @@ class TestTrainingGenerator:
             TrainingGenerator("qam", 1, np.random.default_rng(0))
 
     def test_ofdm_consumes_blocks_deterministically(self):
-        a = TrainingGenerator("ofdm", 2, np.random.default_rng(5), subcarriers=8)
-        b = TrainingGenerator("ofdm", 2, np.random.default_rng(5), subcarriers=8)
-        sa = np.array([a.next() for _ in range(20)])  # spans multiple blocks
-        sb = np.array([b.next() for _ in range(20)])
+        a = TrainingGenerator("ofdm", 2, np.random.default_rng(5))
+        b = TrainingGenerator("ofdm", 2, np.random.default_rng(5))
+        sa = np.array([a.next() for _ in range(150)])  # spans three 64-sample blocks
+        sb = np.array([b.next() for _ in range(150)])
         assert np.array_equal(sa, sb)
         assert np.isfinite(sa).all()
 
@@ -70,10 +69,6 @@ class TestOfdmTimeSamples:
 
 
 class TestNoise:
-    def test_snr_round_trip_is_exact(self):
-        for snr in (5.0, 10.0, 15.0):
-            assert variance_to_snr(snr_to_variance(snr)) == snr
-
     def test_infinite_snr_is_noiseless(self):
         assert snr_to_variance(math.inf) == 0.0
 
