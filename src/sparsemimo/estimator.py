@@ -20,8 +20,9 @@ smooth exponential attractor (the exact penalty gradient that the
 piecewise rule approximates) and its penalty are kept as test oracles.
 
 Neither :class:`HyperParams`, the rules nor the attractors they call
-validate the knobs or check the result for finiteness: ``ExperimentConfig`` validates the knobs once, and a
-run checks its squared error once per iteration.
+validate the knobs or check the result for finiteness: ``ExperimentConfig``
+validates the knobs once, and a run checks its squared error once per
+iteration.
 """
 from __future__ import annotations
 

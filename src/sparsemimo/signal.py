@@ -20,8 +20,6 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("gaussian", "bpsk", "ofdm")
-
-# Subcarriers per OFDM block.
 SUBCARRIERS = 64
 
 
@@ -46,8 +44,9 @@ class TrainingGenerator:
     * ``bpsk``     -- equiprobable +/-1.
     * ``ofdm``     -- real parts of unitary-IDFT time samples of random
       unit-modulus QPSK symbols on ``SUBCARRIERS`` subcarriers, consumed
-      sequentially one block at a time. The real part carries half of the complex power,
-      so it is scaled by sqrt(2) to unit power like the other kinds.
+      sequentially one block at a time. The real part carries half of the
+      complex power, so it is scaled by sqrt(2) to unit power like the
+      other kinds.
     """
 
     def __init__(self, kind: str, nt_count: int, rng: np.random.Generator):
