@@ -293,3 +293,15 @@ class TestMainAndManifest:
             "algorithm=nlms " + cell.format(mu="0.5"): 0,
             "algorithm=nlms " + cell.format(mu="1"): 0,
         }
+
+    def test_divergence_warnings_in_cell_order(self, tmp_path, capsys):
+        # lms at mu=1 and mu=1.5 loses every run (seed-pinned); each fully
+        # diverged cell gets one warning line, in cell order
+        args = [
+            "--runs", "4", "--iterations", "700", "--length", "8",
+            "--snr-db", "10", "--mu", "0.5,1,1.5", "--k", "1",
+            "--algorithms", "lms,nlms", "--seed", "3", "--out", str(tmp_path / "res.csv"),
+        ]
+        assert main(args) == 0
+        cell = "warning: algorithm=lms snr_db=10 mu={mu} k=1 nt=2 nr=2: all 4 runs diverged"
+        assert capsys.readouterr().err.splitlines() == [cell.format(mu="1"), cell.format(mu="1.5")]

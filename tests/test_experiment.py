@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from sparsemimo import experiment
 from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.experiment import (
     LAMBDA_L0_NOISE_RATIO,
     LAMBDA_LP_NOISE_RATIO,
     CellKey,
+    DivergenceError,
     ExperimentConfig,
     ExperimentError,
     average_mse,
@@ -252,6 +254,35 @@ class TestRunGrid:
         key = CellKey("lms", 10.0, 0.5, 1, 2, 2)
         assert result.diverged[key] == [0]
         assert np.isfinite(result[key]).all()
+
+    def test_curve_is_mean_of_surviving_runs(self):
+        # rebuild every run from its seeds; lms drops run 0 (seed-pinned),
+        # so its curve is the mean of three runs, not a sum over four
+        config = _tiny_config(algorithms=("lms", "nlms"), iterations=700, runs=4, seed=3)
+        result = run_grid(config)
+        for key in config.cell_keys():
+            cell = config.cell(key.snr_db, key.mu, key.k)
+            survivors = []
+            for run in range(config.runs):
+                rows = experiment._make_channel(config, key.k, run)
+                seed = experiment._realization_seed(config, key.k, run, experiment._STREAM_LOOP)
+                try:
+                    survivors.append(run_single(rows, cell, key.algorithm, np.random.default_rng(seed)))
+                except DivergenceError:
+                    continue
+            expected = np.mean(np.stack(survivors), axis=0)
+            assert result[key].tobytes() == expected.tobytes(), key
+        assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_mean_is_refused(self, monkeypatch):
+        # each run is finite, but their sum overflows to inf
+        def huge(rows, cell, algorithm, rng):
+            return np.full(cell.iterations, 1e308)
+
+        monkeypatch.setattr(experiment, "run_single", huge)
+        with pytest.raises(ValueError, match="finite"):
+            run_grid(_tiny_config(runs=2))
 
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
