@@ -32,9 +32,7 @@ from .experiment import (
     CellKey,
     DivergenceError,
     ExperimentConfig,
-    ExperimentError,
     GridResult,
-    average_mse,
     first_iteration_below,
     run_grid,
     run_single,
@@ -60,9 +58,7 @@ __all__ = [
     "CellKey",
     "DivergenceError",
     "ExperimentConfig",
-    "ExperimentError",
     "GridResult",
-    "average_mse",
     "first_iteration_below",
     "run_grid",
     "run_single",

@@ -351,8 +351,9 @@ def main(argv=None) -> int:
     result = run_grid(config, workers=args.workers)
     finished = _utc_now()
 
-    for key, reason in result.failures.items():
-        print(f"warning: {_key_string(key)}: {reason}", file=sys.stderr)
+    for key, runs in result.diverged.items():
+        if key not in result:
+            print(f"warning: {_key_string(key)}: all {len(runs)} runs diverged", file=sys.stderr)
     if not result:
         print("error: every run of every cell diverged; no results to write", file=sys.stderr)
         return EXIT_ALL_DIVERGED

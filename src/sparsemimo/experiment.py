@@ -7,10 +7,11 @@ algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
 
-A cell's result is its learning curve: one float64 array of the mean
-squared error per iteration over the runs that did not diverge.
-:class:`GridResult` maps each :class:`CellKey` to that array and lists, per
-cell, the runs it dropped.
+A cell's result is its learning curve: the per-iteration mean squared
+error over the runs that did not diverge, one float64 array. Runs are
+added to their cell's running sum in run order as they arrive, so the grid
+holds one array per cell, not one per run. :class:`GridResult` maps each
+:class:`CellKey` to its curve; a cell whose every run diverged has none.
 """
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ __all__ = [
     "CellConfig",
     "DivergenceError",
     "ExperimentConfig",
-    "ExperimentError",
     "GridResult",
-    "average_mse",
     "first_iteration_below",
     "run_grid",
     "run_single",
@@ -45,14 +44,11 @@ __all__ = [
 # Default regularizer-to-noise-power ratios used when no explicit weight is given.
 LAMBDA_LP_NOISE_RATIO = 1e-4
 LAMBDA_L0_NOISE_RATIO = 1e-3
+TAIL_FRACTION = 0.2  # final share of a trace that steady_state_mse averages
 
 _STREAM_CHANNEL = 0
 _STREAM_LOOP = 1
 _GENERATOR_IDS = {kind: i for i, kind in enumerate(GENERATOR_KINDS)}
-
-
-class ExperimentError(RuntimeError):
-    """Raised when an experiment produces nothing to average."""
 
 
 class DivergenceError(RuntimeError):
@@ -267,25 +263,9 @@ def run_single(rows: np.ndarray, cell: CellConfig, algorithm: str, rng: np.rando
     return squared
 
 
-def average_mse(runs) -> np.ndarray:
-    """Pointwise mean of the surviving runs' squared-error sequences."""
-    sequences = [np.asarray(seq, dtype=np.float64) for seq in runs]
-    if not sequences:
-        raise ExperimentError("no surviving runs to average")
-    length = sequences[0].size
-    if any(seq.size != length for seq in sequences):
-        raise ValueError("all squared-error sequences must share one length")
-    values = np.mean(np.stack(sequences), axis=0)
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise ValueError("mean squared error must be finite and nonnegative")
-    return values
-
-
-def steady_state_mse(trace: np.ndarray, tail_fraction: float = 0.2) -> float:
-    """Mean over the final ``tail_fraction`` of the trace."""
-    if not 0 < tail_fraction <= 1:
-        raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    tail = max(1, int(round(tail_fraction * trace.size)))
+def steady_state_mse(trace: np.ndarray) -> float:
+    """Mean over the final ``TAIL_FRACTION`` of the trace."""
+    tail = max(1, int(round(TAIL_FRACTION * trace.size)))
     return float(trace[-tail:].mean())
 
 
@@ -299,16 +279,13 @@ class GridResult(Mapping):
     """Mean-MSE arrays keyed by :class:`CellKey`, plus the dropped runs.
 
     Behaves as a read-only mapping of the cells with a surviving run.
-    ``diverged`` maps every cell, fully diverged ones included, to the
-    indices of its dropped runs; ``failures`` maps fully diverged cells to
-    a reason string.
+    ``diverged`` maps every cell to the indices of its dropped runs; a cell
+    is missing from the mapping exactly when it dropped all of its runs.
     """
 
-    def __init__(self, traces: Mapping[CellKey, np.ndarray], diverged: Mapping[CellKey, list[int]],
-                 failures: Mapping[CellKey, str]):
+    def __init__(self, traces: Mapping[CellKey, np.ndarray], diverged: Mapping[CellKey, list[int]]):
         self._traces = dict(traces)
         self.diverged = dict(diverged)
-        self.failures = dict(failures)
 
     def __getitem__(self, key: CellKey) -> np.ndarray:
         return self._traces[key]
@@ -320,7 +297,7 @@ class GridResult(Mapping):
         return len(self._traces)
 
     def __repr__(self) -> str:
-        return f"GridResult({len(self._traces)} cells, {len(self.failures)} failed)"
+        return f"GridResult({len(self._traces)} cells, {len(self.diverged) - len(self._traces)} failed)"
 
 
 def _grid_task(args):
@@ -329,9 +306,9 @@ def _grid_task(args):
     rng = np.random.default_rng(_realization_seed(config, key.k, run, _STREAM_LOOP))
     cell = config.cell(key.snr_db, key.mu, key.k)
     try:
-        return key, run, run_single(rows, cell, key.algorithm, rng), None
-    except DivergenceError as exc:
-        return key, run, None, f"run {run}: {exc}"
+        return key, run, run_single(rows, cell, key.algorithm, rng)
+    except DivergenceError:
+        return key, run, None
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
@@ -339,22 +316,23 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
 
     Results are bit-identical for a fixed master seed regardless of
     ``workers``: every (cell, run) task is a pure function of the config,
-    and aggregation orders runs by index.
+    and each cell's runs are summed in run order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     keys = config.cell_keys()
     tasks = [(config, key, run) for key in keys for run in range(config.runs)]
 
-    survivors: dict[CellKey, list[np.ndarray]] = {key: [] for key in keys}
+    # 0.0 + x is x, so each sum holds exactly its runs added in run order
+    sums = {key: np.zeros(config.iterations) for key in keys}
     diverged: dict[CellKey, list[int]] = {key: [] for key in keys}
 
     def collect(outcomes):
-        for key, run, squared, failure in outcomes:
-            if failure is None:
-                survivors[key].append(squared)
-            else:
+        for key, run, squared in outcomes:
+            if squared is None:
                 diverged[key].append(run)
+            else:
+                sums[key] += squared
 
     if workers == 1 or len(tasks) <= 1:
         collect(map(_grid_task, tasks))
@@ -364,10 +342,11 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
             collect(pool.map(_grid_task, tasks, chunksize=chunk))
 
     traces: dict[CellKey, np.ndarray] = {}
-    failures: dict[CellKey, str] = {}
     for key in keys:
-        if survivors[key]:
-            traces[key] = average_mse(survivors[key])
-        else:
-            failures[key] = f"all {config.runs} runs diverged"
-    return GridResult(traces, diverged, failures)
+        if len(diverged[key]) < config.runs:
+            # each run is finite, but their sum can still overflow
+            values = sums[key] / (config.runs - len(diverged[key]))
+            if not np.isfinite(values).all() or (values < 0).any():
+                raise ValueError("mean squared error must be finite and nonnegative")
+            traces[key] = values
+    return GridResult(traces, diverged)

@@ -82,6 +82,6 @@ class TrainingGenerator:
         self._cursor = 0
 
 
-def snr_to_variance(snr_db: float, signal_power: float = 1.0) -> float:
-    """Noise power for a given SNR in dB; ``inf`` maps to the noiseless 0."""
-    return signal_power / 10.0 ** (snr_db / 10.0)
+def snr_to_variance(snr_db: float) -> float:
+    """Noise power for a given SNR in dB at unit signal power; ``inf`` maps to the noiseless 0."""
+    return 1.0 / 10.0 ** (snr_db / 10.0)

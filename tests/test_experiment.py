@@ -13,8 +13,6 @@ from sparsemimo.experiment import (
     CellKey,
     DivergenceError,
     ExperimentConfig,
-    ExperimentError,
-    average_mse,
     first_iteration_below,
     run_grid,
     run_single,
@@ -30,6 +28,13 @@ def _tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _mean_of(monkeypatch, *runs):
+    """The curve of a one-cell grid whose runs return ``runs`` in order."""
+    outputs = iter(runs)
+    monkeypatch.setattr(experiment, "run_single", lambda rows, cell, algorithm, rng: np.array(next(outputs)))
+    return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
 
 class TestRunSingle:
@@ -71,55 +76,39 @@ class TestRunSingle:
 
 
 class TestAverageMse:
-    def test_single_run_is_identity(self):
-        trace = average_mse([np.array([4.0, 2.0, 1.0])])
+    def test_single_run_is_identity(self, monkeypatch):
+        trace = _mean_of(monkeypatch, [4.0, 2.0, 1.0])
         assert np.array_equal(trace, [4.0, 2.0, 1.0])
 
-    def test_pointwise_mean(self):
-        trace = average_mse([np.full(5, 2.0), np.full(5, 4.0)])
+    def test_pointwise_mean(self, monkeypatch):
+        trace = _mean_of(monkeypatch, np.full(5, 2.0), np.full(5, 4.0))
         assert np.array_equal(trace, np.full(5, 3.0))
 
-    def test_perfect_estimates_average_to_zero(self):
-        trace = average_mse([np.zeros(4), np.zeros(4)])
+    def test_perfect_estimates_average_to_zero(self, monkeypatch):
+        trace = _mean_of(monkeypatch, np.zeros(4), np.zeros(4))
         assert not trace.any()
-
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ExperimentError):
-            average_mse([])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            average_mse([np.zeros(3), np.zeros(4)])
 
 
 class TestTraceSummaries:
     def test_steady_state_of_constant_trace(self):
-        assert steady_state_mse(np.full(10, 0.25), 0.2) == 0.25
-
-    def test_full_tail_is_whole_trace_mean(self):
-        values = np.arange(1.0, 11.0)
-        assert steady_state_mse(values, 1.0) == pytest.approx(values.mean())
+        assert steady_state_mse(np.full(10, 0.25)) == 0.25
 
     def test_decaying_trace_tail_below_whole_mean(self):
         values = np.geomspace(8.0, 0.01, 100)
-        assert steady_state_mse(values, 0.2) < values.mean()
-
-    def test_bad_tail_fraction_rejected(self):
-        for fraction in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                steady_state_mse(np.ones(4), fraction)
+        assert steady_state_mse(values) < values.mean()
 
     def test_first_iteration_below(self):
         trace = np.array([4.0, 2.0, 1.0, 0.5])
         assert first_iteration_below(trace, 2.0) == 1
         assert first_iteration_below(trace, 0.1) == 4
 
-    def test_trace_rejects_bad_values(self):
-        # average_mse is where a trace is made; it refuses impossible means
-        with pytest.raises(ValueError):
-            average_mse([np.array([1.0, -0.5])])
-        with pytest.raises(ValueError):
-            average_mse([np.array([1.0, math.nan])])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_trace_rejects_bad_values(self, monkeypatch):
+        # run_grid refuses impossible means; two finite runs can still
+        # overflow their sum
+        for runs in ([[1.0, -0.5]], [[1.0, math.nan]], [np.full(3, 1e308), np.full(3, 1e308)]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                _mean_of(monkeypatch, *runs)
 
 
 class TestConfigValidation:
@@ -227,14 +216,14 @@ class TestRunGrid:
         np.testing.assert_allclose(low[1:] / high[1:], 10.0, rtol=1e-9)
 
     def test_diverged_lists_every_cell(self):
-        # lms drops both runs (a failure), nlms none; both cells are listed
+        # lms drops both runs and so has no curve, nlms none; both are listed
         config = _tiny_config(algorithms=("lms", "nlms"), iterations=800, runs=2)
         result = run_grid(config)
         assert result.diverged == {
             CellKey("lms", 10.0, 0.5, 1, 2, 2): [0, 1],
             CellKey("nlms", 10.0, 0.5, 1, 2, 2): [],
         }
-        assert list(result.failures) == [CellKey("lms", 10.0, 0.5, 1, 2, 2)]
+        assert list(result) == [CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
     def test_diverging_cell_is_reported_not_fatal(self):
         # plain LMS at mu=0.5 with unit-power training and 16 unknowns is
@@ -243,7 +232,8 @@ class TestRunGrid:
         result = run_grid(config)
         lms_key = CellKey("lms", 10.0, 0.5, 1, 2, 2)
         nlms_key = CellKey("nlms", 10.0, 0.5, 1, 2, 2)
-        assert lms_key in result.failures
+        assert result.diverged[lms_key] == [0, 1]
+        assert lms_key not in result
         assert nlms_key in result
         assert len(result) == 1
 
@@ -273,16 +263,6 @@ class TestRunGrid:
             expected = np.mean(np.stack(survivors), axis=0)
             assert result[key].tobytes() == expected.tobytes(), key
         assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [0]
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_mean_is_refused(self, monkeypatch):
-        # each run is finite, but their sum overflows to inf
-        def huge(rows, cell, algorithm, rng):
-            return np.full(cell.iterations, 1e308)
-
-        monkeypatch.setattr(experiment, "run_single", huge)
-        with pytest.raises(ValueError, match="finite"):
-            run_grid(_tiny_config(runs=2))
 
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
