@@ -247,7 +247,7 @@ class TestRunGrid:
 
     def test_curve_is_mean_of_surviving_runs(self):
         # rebuild every run from its seeds; lms drops run 0 (seed-pinned),
-        # so its curve is the mean of three runs, not a sum over four
+        # so its curve is the mean of three runs, not their sum over four
         config = _tiny_config(algorithms=("lms", "nlms"), iterations=700, runs=4, seed=3)
         result = run_grid(config)
         for key in config.cell_keys():
