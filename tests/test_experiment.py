@@ -264,6 +264,27 @@ class TestRunGrid:
             assert result[key].tobytes() == expected.tobytes(), key
         assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [0]
 
+    def test_cells_of_a_group_do_not_interact(self):
+        # every rule, a noisy and a noiseless SNR, two step sizes and a
+        # fading channel; lms drops runs 2 and 3 at mu=0.5 and every run at
+        # mu=1 (seed-pinned). Each cell must come out as it does alone.
+        config = _tiny_config(
+            algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), snr_db=(10.0, math.inf),
+            mu=(0.5, 1.0), runs=4, iterations=700, fading_period=50,
+        )
+        result = run_grid(config)
+        for key in config.cell_keys():
+            alone = run_grid(_tiny_config(
+                algorithms=(key.algorithm,), snr_db=(key.snr_db,), mu=(key.mu,),
+                runs=4, iterations=700, fading_period=50,
+            ))
+            assert result.diverged[key] == alone.diverged[key], key
+            assert (key in result) == (key in alone), key
+            if key in alone:
+                assert result[key].tobytes() == alone[key].tobytes(), key
+        assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [2, 3]
+        assert result.diverged[CellKey("lms", math.inf, 1.0, 1, 2, 2)] == [0, 1, 2, 3]
+
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
             algorithms=("nlms", "l0_nlms"), snr_db=(5.0, 10.0), mu=(0.5, 1.0), sparsity=(1, 4), runs=1, iterations=5
