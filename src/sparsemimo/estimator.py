@@ -3,7 +3,10 @@
 Each rule is a pure array function ``rule(hyper, h, x, e) -> h``: it takes
 the current estimate ``h``, the regressor ``x`` and the a-priori error
 ``e = y - h @ x`` and returns the next estimate. ``hyper.algorithm`` names
-the rule and :func:`update` dispatches on it.
+the rule and :func:`update` dispatches on it. A rule broadcasts over
+leading batch axes: ``h`` may be a ``(..., N)`` stack of estimates with
+``e`` shaped ``(..., 1)`` and ``mu``/``lambda_lp``/``lambda_l0`` arrays
+that broadcast against ``e``; each row then gets the bits it gets alone.
 
 * ``lms``      plain stochastic gradient,   h += mu * e * x
 * ``nlms``     step normalized by the regressor energy,
@@ -102,7 +105,10 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     with sgn(0) = 0; ``epsilon > 0`` removes the singularity of vanishing
     taps.
     """
-    scale = lp_norm(h, p) ** (1.0 - p)
+    sums = np.sum(np.abs(h) ** p, axis=-1, keepdims=True)
+    # both norm powers per row in scalar pow: numpy's array ** rounds some
+    # values differently, and the goldens pin these bits
+    scale = np.array([float(s ** (1.0 / p)) ** (1.0 - p) for s in sums.flat]).reshape(sums.shape)
     return scale * np.sign(h) / (epsilon + np.abs(h) ** (1.0 - p))
 
 

@@ -7,6 +7,13 @@ algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
 
+Because those realizations are shared, the cells with the same K form one
+group per run: its channel, training and unit-scale noise are drawn once
+per iteration, and one array step advances the estimates of every cell in
+the group, each cell's noise scaled by its own SNR. A cell whose run
+diverges is dropped from that run alone; the other cells of the group are
+untouched by it and come out bit for bit as they would alone.
+
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
 added to their cell's running sum in run order as they arrive, so the grid
@@ -15,6 +22,7 @@ holds one array per cell, not one per run. :class:`GridResult` maps each
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -229,38 +237,71 @@ def run_single(rows: np.ndarray, cell: CellConfig, algorithm: str, rng: np.rando
     error of the all-zero estimates; each later entry is recorded after that
     iteration's update of every receive antenna's estimate. Per iteration
     the draw order is fixed: one training sample per transmit antenna, then
-    one noise sample per receive antenna.
+    one noise sample per receive antenna. This is the one-cell case of the
+    engine :func:`run_grid` uses.
     """
-    hyper = replace(cell.hyper, algorithm=algorithm)
-    estimates = [np.zeros(cell.nt * cell.length) for _ in range(cell.nr)]
-    generator = TrainingGenerator(cell.generator, cell.nt, rng)
-    std = math.sqrt(snr_to_variance(cell.snr_db))
+    (squared,) = _run_group(rows, [(algorithm, cell)], rng)
+    if squared is None:
+        raise DivergenceError(f"{algorithm} squared error left the finite range")
+    return squared
+
+
+def _run_group(rows: np.ndarray, cells: list[tuple[str, CellConfig]], rng: np.random.Generator) -> list:
+    """Run every ``(algorithm, cell)`` on one channel and one draw stream.
+
+    The cells may differ only in algorithm, SNR and hyperparameters, which
+    leave the draws alone: the channel, the training and the unit-scale
+    noise ``z`` are drawn once per iteration and each cell's noise is
+    ``0.0 + std * z``, bit for bit what ``rng.normal(0.0, std, nr)`` gives.
+    The estimates of all cells form one ``(cells, nr, nt * L)`` array; each
+    run of equal algorithms is one slice, updated by its rule with per-cell
+    ``mu``/``lambda`` arrays. Returns each cell's squared error, or ``None``
+    for a cell whose squared error left the finite range.
+    """
+    first = cells[0][1]
+    nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
+    slices, start = [], 0  # (slice of the cells, its rule with per-cell knobs)
+    for algorithm, same in itertools.groupby(cells, key=lambda pair: pair[0]):
+        hypers = [cell.hyper for _, cell in same]
+        knobs = {name: np.array([getattr(h, name) for h in hypers])[:, None, None]
+                 for name in ("mu", "lambda_lp", "lambda_l0")}
+        slices.append((slice(start, start + len(hypers)), replace(hypers[0], algorithm=algorithm, **knobs)))
+        start += len(hypers)
+    stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for _, cell in cells])[:, None]
+    estimates = np.zeros((len(cells), nr, nt * length))
+    generator = TrainingGenerator(first.generator, nt, rng)
     # each antenna's last L samples, newest first; x is a view of it
-    window = np.zeros((cell.nt, cell.length))
+    window = np.zeros((nt, length))
     x = window.reshape(-1)
-    squared = np.empty(cell.iterations)
-    squared[0] = float(np.sum(rows * rows))
+    squared = np.empty((len(cells), iterations))
+    squared[:, 0] = float(np.sum(rows * rows))
+    finite = np.ones(len(cells), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cell.iterations):
-            if cell.fading_period and n % cell.fading_period == 0:
-                rows = assemble_mimo_channel(cell.nt, cell.nr, cell.length, cell.sparsity, rng)
+        for n in range(1, iterations):
+            if first.fading_period and n % first.fading_period == 0:
+                rows = assemble_mimo_channel(nt, nr, length, first.sparsity, rng)
             window[:, 1:] = window[:, :-1]
             window[:, 0] = generator.next()
-            y = rows @ x + rng.normal(0.0, std, cell.nr)
-            total = 0.0
-            for i in range(cell.nr):
-                h = estimates[i]
-                e = float(y[i]) - float(h @ x)
-                h = estimates[i] = update(hyper, h, x, e)
-                diff = rows[i] - h
-                total += float(diff @ diff)
-            if not math.isfinite(total):
-                # a non-finite estimate makes its squared error non-finite
-                # too, and a finite one can still overflow it; either way
-                # the run is useless for averaging
-                raise DivergenceError(f"{algorithm} squared error left the finite range")
-            squared[n] = total
-    return squared
+            y = rows @ x + (0.0 + stds * rng.standard_normal(nr))
+            # np.vecdot, not @: it gives the bits of the one-row h @ x
+            e = (y - np.vecdot(estimates, x))[..., None]
+            for rule, hyper in slices:
+                estimates[rule] = update(hyper, estimates[rule], x, e[rule])
+            diff = rows - estimates
+            per_row = np.vecdot(diff, diff)
+            # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
+            # the terms differently and move bits
+            total = per_row[:, 0]
+            for i in range(1, nr):
+                total = total + per_row[:, i]
+            squared[:, n] = total
+            # a non-finite estimate makes its squared error non-finite too,
+            # and a finite one can still overflow it; either way the cell's
+            # run is useless for averaging
+            finite &= np.isfinite(total)
+            if not finite.any():
+                break
+    return [curve if ok else None for curve, ok in zip(squared, finite)]
 
 
 def steady_state_mse(trace: np.ndarray) -> float:
@@ -301,38 +342,39 @@ class GridResult(Mapping):
 
 
 def _grid_task(args):
-    config, key, run = args
-    rows = _make_channel(config, key.k, run)
-    rng = np.random.default_rng(_realization_seed(config, key.k, run, _STREAM_LOOP))
-    cell = config.cell(key.snr_db, key.mu, key.k)
-    try:
-        return key, run, run_single(rows, cell, key.algorithm, rng)
-    except DivergenceError:
-        return key, run, None
+    config, k, run = args
+    keys = [key for key in config.cell_keys() if key.k == k]
+    rows = _make_channel(config, k, run)
+    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+    cells = [(key.algorithm, config.cell(key.snr_db, key.mu, k)) for key in keys]
+    return run, list(zip(keys, _run_group(rows, cells, rng)))
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     """Run the whole grid; diverged runs are dropped per cell, not fatal.
 
-    Results are bit-identical for a fixed master seed regardless of
-    ``workers``: every (cell, run) task is a pure function of the config,
-    and each cell's runs are summed in run order.
+    A task is one ``(K, run)`` group: the cells that share K share the
+    run's channel and draws, so one pass advances them all. Results are
+    bit-identical for a fixed master seed regardless of ``workers``: every
+    group is a pure function of the config, and each cell's runs are summed
+    in run order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     keys = config.cell_keys()
-    tasks = [(config, key, run) for key in keys for run in range(config.runs)]
+    tasks = [(config, k, run) for k in config.sparsity for run in range(config.runs)]
 
     # 0.0 + x is x, so each sum holds exactly its runs added in run order
     sums = {key: np.zeros(config.iterations) for key in keys}
     diverged: dict[CellKey, list[int]] = {key: [] for key in keys}
 
     def collect(outcomes):
-        for key, run, squared in outcomes:
-            if squared is None:
-                diverged[key].append(run)
-            else:
-                sums[key] += squared
+        for run, curves in outcomes:
+            for key, squared in curves:
+                if squared is None:
+                    diverged[key].append(run)
+                else:
+                    sums[key] += squared
 
     if workers == 1 or len(tasks) <= 1:
         collect(map(_grid_task, tasks))

@@ -291,6 +291,28 @@ class TestCommonUpdateContract:
             direct = rules[name](hyper, h, x, e)
             assert via_dispatch.tobytes() == direct.tobytes()
 
+    def test_stacked_rows_match_rows_alone(self):
+        # a (cells, rows, N) stack with per-cell knobs updates each row to
+        # the bits it gets from a 1-D call with scalar knobs
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((3, 2, 16)) * rng.integers(0, 2, (3, 2, 16))
+        x = rng.standard_normal(16)
+        e = rng.standard_normal((3, 2))
+        mu, lam = np.array([0.5, 1.0, 1.5]), np.array([1e-3, 2e-4, 0.0])
+        for name in ALGORITHMS:
+            knobs = dict(p=0.45, epsilon=0.02, beta=15.0)
+            stacked = update(
+                HyperParams(name, mu=mu[:, None, None], lambda_lp=lam[:, None, None],
+                            lambda_l0=lam[:, None, None], **knobs),
+                h, x, e[..., None],
+            )
+            for c in range(3):
+                hyper = HyperParams(name, mu=float(mu[c]), lambda_lp=float(lam[c]),
+                                    lambda_l0=float(lam[c]), **knobs)
+                for r in range(2):
+                    alone = update(hyper, h[c, r], x, float(e[c, r]))
+                    assert stacked[c, r].tobytes() == alone.tobytes(), (name, c, r)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="rls"):
             update(HyperParams("rls"), np.zeros(2), _vec([1.0, 0.0]), 0.1)

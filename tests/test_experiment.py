@@ -33,7 +33,7 @@ def _tiny_config(**overrides):
 def _mean_of(monkeypatch, *runs):
     """The curve of a one-cell grid whose runs return ``runs`` in order."""
     outputs = iter(runs)
-    monkeypatch.setattr(experiment, "run_single", lambda rows, cell, algorithm, rng: np.array(next(outputs)))
+    monkeypatch.setattr(experiment, "_run_group", lambda rows, cells, rng: [np.array(next(outputs))])
     return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
 
