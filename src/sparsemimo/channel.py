@@ -13,6 +13,8 @@ from transmit antenna ``t``. The support of a link is
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -42,10 +44,10 @@ def generate_sparse_channel(length: int, sparsity: int, rng: np.random.Generator
     positions = rng.choice(length, size=sparsity, replace=False)
     values = rng.standard_normal(sparsity)
     # An exact-zero draw would silently shrink the support; redraw it.
-    while np.any(values == 0.0):
+    while not values.all():
         zero = values == 0.0
         values[zero] = rng.standard_normal(int(zero.sum()))
-    values /= np.linalg.norm(values)
+    values /= math.sqrt(values @ values)
     taps = np.zeros(length)
     taps[positions] = values
     return taps

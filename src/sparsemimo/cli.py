@@ -182,8 +182,8 @@ def emit_csv(traces, path) -> None:
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(trace)
         prefix = f"{key.algorithm},{_fmt(key.snr_db)},{_fmt(key.mu)},{key.k},{key.nt},{key.nr}"
-        for i in range(trace.size):
-            lines.append(f"{prefix},{i},{_fmt(trace[i])},{_fmt(db[i])}")
+        lines.extend(f"{prefix},{i},{value!r},{level!r}"
+                     for i, (value, level) in enumerate(zip(trace.tolist(), db.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
