@@ -135,6 +135,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
+            if len(set(value)) != len(value):
+                # a repeated value would add the same cell's runs twice
+                raise ValueError(f"{'k' if name == 'sparsity' else name}: duplicate values in {tuple(value)}")
         if self.nt < 1 or self.nr < 1:
             raise ValueError("nt/nr: antenna counts must be at least 1")
         if self.length < 1:

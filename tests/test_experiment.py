@@ -146,6 +146,8 @@ class TestConfigValidation:
             ({"beta": 0.0}, "beta"),
             ({"fading_period": 0}, "fading_period"),
             ({"lambda_l0": -1.0}, "lambda_l0"),
+            ({"sparsity": (1, 1)}, "k"),
+            ({"mu": (0.5, 1.0, 0.5)}, "mu"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
