@@ -94,7 +94,10 @@ def nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
 
 
 def lp_norm(h, p: float) -> float:
-    """Fractional vector norm ``(sum |h_i|^p) ** (1/p)``."""
+    """Fractional vector norm ``(sum |h_i|^p) ** (1/p)`` of one row.
+
+    The one-row reference for the norm :func:`lp_attractor` computes per row.
+    """
     return float(np.sum(np.abs(h) ** p) ** (1.0 / p))
 
 

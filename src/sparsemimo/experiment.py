@@ -79,7 +79,8 @@ class CellConfig:
     """Fully resolved scalar parameters for one grid cell.
 
     ``hyper`` carries the cell's step size and penalty knobs; the algorithm
-    is given to :func:`run_single` separately, which completes it.
+    is given separately, to :func:`run_single` or paired with the cell in a
+    group, and the engine completes it.
     """
 
     nt: int
