@@ -108,7 +108,7 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     with sgn(0) = 0; ``epsilon > 0`` removes the singularity of vanishing
     taps.
     """
-    sums = np.sum(np.abs(h) ** p, axis=-1, keepdims=True)
+    sums = (np.abs(h) ** p).sum(axis=-1, keepdims=True)
     # both norm powers per row in scalar pow: numpy's array ** rounds some
     # values differently, and the goldens pin these bits
     scale = np.array([float(s ** (1.0 / p)) ** (1.0 - p) for s in sums.flat]).reshape(sums.shape)

@@ -7,12 +7,13 @@ algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
 
-Because those realizations are shared, the cells with the same K form one
-group per run: its channel, training and unit-scale noise are drawn once
-per iteration, and one array step advances the estimates of every cell in
-the group, each cell's noise scaled by its own SNR. A cell whose run
-diverges is dropped from that run alone; the other cells of the group are
-untouched by it and come out bit for bit as they would alone.
+Because those realizations are shared, one run of one algorithm advances
+every step size and SNR of a K together: its channel, training and
+unit-scale noise are drawn once per iteration, and one array step per
+receive antenna updates the estimates of all those cells, each cell's
+noise scaled by its own SNR. A cell whose run diverges is dropped from
+that run alone; the other cells are untouched by it and come out bit for
+bit as they would alone.
 
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
@@ -79,8 +80,7 @@ class CellConfig:
     """Fully resolved scalar parameters for one grid cell.
 
     ``hyper`` carries the cell's step size and penalty knobs; the algorithm
-    is given separately, to :func:`run_single` or paired with the cell in a
-    group, and the engine completes it.
+    is given separately, to :func:`run_single`, which completes it.
     """
 
     nt: int
@@ -234,45 +234,31 @@ def _make_channel(config: ExperimentConfig, k: int, run: int) -> np.ndarray:
     return assemble_mimo_channel(config.nt, config.nr, config.length, k, rng)
 
 
-def run_single(rows: np.ndarray, cell: CellConfig, algorithm: str, rng: np.random.Generator) -> np.ndarray:
-    """One adaptive identification run; returns per-iteration squared error.
+def run_single(rows: np.ndarray, cells: list[CellConfig], algorithm: str,
+               rng: np.random.Generator) -> list[np.ndarray | None]:
+    """One adaptive identification run of ``algorithm`` for every cell.
 
-    ``rows`` is the ``(nr, nt * L)`` channel. Entry 0 is the cold-start
-    error of the all-zero estimates; each later entry is recorded after that
-    iteration's update of every receive antenna's estimate. Per iteration
-    the draw order is fixed: one training sample per transmit antenna, then
-    one noise sample per receive antenna. This is the one-cell case of the
-    engine :func:`run_grid` uses.
+    ``rows`` is the ``(nr, nt * L)`` channel. The cells may differ only in
+    SNR and hyperparameters, which leave the draws alone, so they share the
+    channel and every draw: per iteration one training sample per transmit
+    antenna, then one unit-scale noise sample ``z`` per receive antenna.
+    Each cell's noise is ``0.0 + std * z``, bit for bit what
+    ``rng.normal(0.0, std, nr)`` gives, so every cell comes out as it does
+    alone. Returns each cell's per-iteration squared error: entry 0 is the
+    cold-start error of the all-zero estimates; each later entry is
+    recorded after that iteration's update of every receive antenna's
+    estimate. A cell whose squared error left the finite range gets
+    ``None``; once every cell's has, the run raises :class:`DivergenceError`.
     """
-    (squared,) = _run_group(rows, [(algorithm, cell)], rng)
-    if squared is None:
-        raise DivergenceError(f"{algorithm} squared error left the finite range")
-    return squared
-
-
-def _run_group(rows: np.ndarray, cells: list[tuple[str, CellConfig]], rng: np.random.Generator) -> list:
-    """Run every ``(algorithm, cell)`` on one channel and one draw stream.
-
-    The cells may differ only in algorithm, SNR and hyperparameters, which
-    leave the draws alone: the channel, the training and the unit-scale
-    noise ``z`` are drawn once per iteration and each cell's noise is
-    ``0.0 + std * z``, bit for bit what ``rng.normal(0.0, std, nr)`` gives.
-    The estimates of all cells form one ``(cells, nr, nt * L)`` array; each
-    run of equal algorithms is one slice, updated by its rule with per-cell
-    ``mu``/``lambda`` arrays. Returns each cell's squared error, or ``None``
-    for a cell whose squared error left the finite range.
-    """
-    first = cells[0][1]
+    first = cells[0]
     nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
-    slices, start = [], 0  # (slice of the cells, its rule with per-cell knobs)
-    for algorithm, same in itertools.groupby(cells, key=lambda pair: pair[0]):
-        hypers = [cell.hyper for _, cell in same]
-        knobs = {name: np.array([getattr(h, name) for h in hypers])[:, None, None]
-                 for name in ("mu", "lambda_lp", "lambda_l0")}
-        slices.append((slice(start, start + len(hypers)), replace(hypers[0], algorithm=algorithm, **knobs)))
-        start += len(hypers)
-    stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for _, cell in cells])[:, None]
-    estimates = np.zeros((len(cells), nr, nt * length))
+    # per-cell knobs as (cells, 1) columns, which the rule broadcasts
+    knobs = {name: np.array([getattr(cell.hyper, name) for cell in cells])[:, None]
+             for name in ("mu", "lambda_lp", "lambda_l0")}
+    hyper = replace(first.hyper, algorithm=algorithm, **knobs)
+    stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for cell in cells])
+    # antenna i's estimates of every cell form the (cells, nt * L) block i
+    estimates = np.zeros((nr, len(cells), nt * length))
     generator = TrainingGenerator(first.generator, nt, rng)
     # each antenna's last L samples, newest first; x is a view of it
     window = np.zeros((nt, length))
@@ -286,25 +272,26 @@ def _run_group(rows: np.ndarray, cells: list[tuple[str, CellConfig]], rng: np.ra
                 rows = assemble_mimo_channel(nt, nr, length, first.sparsity, rng)
             window[:, 1:] = window[:, :-1]
             window[:, 0] = generator.next()
-            y = rows @ x + (0.0 + stds * rng.standard_normal(nr))
+            y = (rows @ x)[:, None] + (0.0 + np.multiply.outer(rng.standard_normal(nr), stds))
             # np.vecdot, not @: it gives the bits of the one-row h @ x
             e = (y - np.vecdot(estimates, x))[..., None]
-            for rule, hyper in slices:
-                estimates[rule] = update(hyper, estimates[rule], x, e[rule])
-            diff = rows - estimates
+            for i in range(nr):
+                estimates[i] = update(hyper, estimates[i], x, e[i])
+            diff = rows[:, None, :] - estimates
             per_row = np.vecdot(diff, diff)
             # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
             # the terms differently and move bits
-            total = per_row[:, 0]
+            total = per_row[0]
             for i in range(1, nr):
-                total = total + per_row[:, i]
+                total = total + per_row[i]
             squared[:, n] = total
             # a non-finite estimate makes its squared error non-finite too,
             # and a finite one can still overflow it; either way the cell's
             # run is useless for averaging
-            finite &= np.isfinite(total)
-            if not finite.any():
-                break
+            if not np.isfinite(total).all():
+                finite &= np.isfinite(total)
+                if not finite.any():
+                    raise DivergenceError(f"{algorithm} squared error left the finite range")
     return [curve if ok else None for curve, ok in zip(squared, finite)]
 
 
@@ -347,21 +334,29 @@ class GridResult(Mapping):
 
 def _grid_task(args):
     config, k, run = args
-    keys = [key for key in config.cell_keys() if key.k == k]
     rows = _make_channel(config, k, run)
-    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
-    cells = [(key.algorithm, config.cell(key.snr_db, key.mu, k)) for key in keys]
-    return run, list(zip(keys, _run_group(rows, cells, rng)))
+    curves = []
+    # cell_keys puts algorithms outermost: each algorithm's cells are adjacent
+    keys = (key for key in config.cell_keys() if key.k == k)
+    for algorithm, same in itertools.groupby(keys, key=lambda key: key.algorithm):
+        same = list(same)
+        rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+        cells = [config.cell(key.snr_db, key.mu, k) for key in same]
+        try:
+            curves += zip(same, run_single(rows, cells, algorithm, rng))
+        except DivergenceError:
+            curves += [(key, None) for key in same]
+    return run, curves
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     """Run the whole grid; diverged runs are dropped per cell, not fatal.
 
-    A task is one ``(K, run)`` group: the cells that share K share the
-    run's channel and draws, so one pass advances them all. Results are
-    bit-identical for a fixed master seed regardless of ``workers``: every
-    group is a pure function of the config, and each cell's runs are summed
-    in run order.
+    A task is one ``(K, run)`` pair: the cells that share K share the
+    run's channel and draws, so one :func:`run_single` pass per algorithm
+    advances them all. Results are bit-identical for a fixed master seed
+    regardless of ``workers``: every task is a pure function of the config,
+    and each cell's runs are summed in run order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

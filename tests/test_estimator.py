@@ -312,6 +312,16 @@ class TestCommonUpdateContract:
                 for r in range(2):
                     alone = update(hyper, h[c, r], x, float(e[c, r]))
                     assert stacked[c, r].tobytes() == alone.tobytes(), (name, c, r)
+        # the stacked Lp attractor is the documented formula on each row's
+        # own lp_norm, bit for bit; enough rows that an array power, which
+        # rounds a few percent of values differently, would show
+        p, epsilon = 0.45, 0.02
+        stack = rng.standard_normal((40, 2, 16)) * rng.integers(0, 2, (40, 2, 16))
+        attractor = lp_attractor(stack, p, epsilon)
+        for index in np.ndindex(stack.shape[:-1]):
+            row = stack[index]
+            formula = lp_norm(row, p) ** (1.0 - p) * np.sign(row) / (epsilon + np.abs(row) ** (1.0 - p))
+            assert attractor[index].tobytes() == formula.tobytes(), index
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="rls"):
@@ -336,7 +346,7 @@ class TestCommonUpdateContract:
         rows = np.zeros((1, 4 * 32))
         rows[0, 0] = 1.0
         with pytest.raises(DivergenceError, match="lms"):
-            run_single(rows, config.cell(10.0, 1.0, 1), "lms", np.random.default_rng(0))
+            run_single(rows, [config.cell(10.0, 1.0, 1)], "lms", np.random.default_rng(0))
 
 
 class TestHyperParams:

@@ -33,7 +33,7 @@ def _tiny_config(**overrides):
 def _mean_of(monkeypatch, *runs):
     """The curve of a one-cell grid whose runs return ``runs`` in order."""
     outputs = iter(runs)
-    monkeypatch.setattr(experiment, "_run_group", lambda rows, cells, rng: [np.array(next(outputs))])
+    monkeypatch.setattr(experiment, "run_single", lambda rows, cells, algorithm, rng: [np.array(next(outputs))])
     return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
 
@@ -41,14 +41,14 @@ class TestRunSingle:
     def test_cold_start_error_is_total_channel_energy(self):
         config = _tiny_config()
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
-        out = run_single(rows, config.cell(10.0, 0.5, 1), "nlms", np.random.default_rng(1))
+        out = run_single(rows, [config.cell(10.0, 0.5, 1)], "nlms", np.random.default_rng(1))[0]
         assert out.shape == (50,)
         assert out[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_noiseless_identification_converges(self):
         config = _tiny_config(length=16, snr_db=(math.inf,), mu=(1.0,), iterations=2000)
         rows = assemble_mimo_channel(2, 2, 16, 1, np.random.default_rng(5))
-        out = run_single(rows, config.cell(math.inf, 1.0, 1), "nlms", np.random.default_rng(6))
+        out = run_single(rows, [config.cell(math.inf, 1.0, 1)], "nlms", np.random.default_rng(6))[0]
         assert out[-1] < 1e-6
 
     def test_receive_antennas_do_not_interact(self):
@@ -58,18 +58,18 @@ class TestRunSingle:
         cell = config.cell(math.inf, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(9))
         swapped = rows[[1, 0]]
-        a = run_single(rows, cell, "nlms", np.random.default_rng(2))
-        b = run_single(swapped, cell, "nlms", np.random.default_rng(2))
+        a = run_single(rows, [cell], "nlms", np.random.default_rng(2))[0]
+        b = run_single(swapped, [cell], "nlms", np.random.default_rng(2))[0]
         assert a.tobytes() == b.tobytes()
 
     def test_fading_redraws_channel(self):
         config = _tiny_config(iterations=400, fading_period=100)
         cell = config.cell(10.0, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(4))
-        faded = run_single(rows, cell, "nlms", np.random.default_rng(8))
+        faded = run_single(rows, [cell], "nlms", np.random.default_rng(8))[0]
         static = run_single(
-            rows, _tiny_config(iterations=400).cell(10.0, 0.5, 1), "nlms", np.random.default_rng(8)
-        )
+            rows, [_tiny_config(iterations=400).cell(10.0, 0.5, 1)], "nlms", np.random.default_rng(8)
+        )[0]
         assert np.isfinite(faded).all()
         # the redraw at iteration 100 bumps the error of the faded run
         assert faded[100] > static[100]
@@ -259,7 +259,7 @@ class TestRunGrid:
                 rows = experiment._make_channel(config, key.k, run)
                 seed = experiment._realization_seed(config, key.k, run, experiment._STREAM_LOOP)
                 try:
-                    survivors.append(run_single(rows, cell, key.algorithm, np.random.default_rng(seed)))
+                    survivors.append(run_single(rows, [cell], key.algorithm, np.random.default_rng(seed))[0])
                 except DivergenceError:
                     continue
             expected = np.mean(np.stack(survivors), axis=0)
