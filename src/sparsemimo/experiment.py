@@ -80,7 +80,7 @@ class CellConfig:
     """Fully resolved scalar parameters for one grid cell.
 
     ``hyper`` carries the cell's step size and penalty knobs; the algorithm
-    is given separately, to :func:`run_single`, which completes it.
+    is given to :func:`run_single` separately, which completes it.
     """
 
     nt: int
@@ -252,9 +252,12 @@ def run_single(rows: np.ndarray, cells: list[CellConfig], algorithm: str,
     """
     first = cells[0]
     nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
-    # per-cell knobs as (cells, 1) columns, which the rule broadcasts
-    knobs = {name: np.array([getattr(cell.hyper, name) for cell in cells])[:, None]
-             for name in ("mu", "lambda_lp", "lambda_l0")}
+    # a knob that differs between cells becomes a (cells, 1) column, which
+    # the rule broadcasts; a shared one stays a float, which is cheaper
+    knobs = {}
+    for name in ("mu", "lambda_lp", "lambda_l0"):
+        values = [getattr(cell.hyper, name) for cell in cells]
+        knobs[name] = values[0] if len(set(values)) == 1 else np.array(values)[:, None]
     hyper = replace(first.hyper, algorithm=algorithm, **knobs)
     stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for cell in cells])
     # antenna i's estimates of every cell form the (cells, nt * L) block i
@@ -287,8 +290,9 @@ def run_single(rows: np.ndarray, cells: list[CellConfig], algorithm: str,
             squared[:, n] = total
             # a non-finite estimate makes its squared error non-finite too,
             # and a finite one can still overflow it; either way the cell's
-            # run is useless for averaging
-            if not np.isfinite(total).all():
+            # run is useless for averaging. A Python sum of the errors is the
+            # cheap test; only a non-finite sum needs the per-cell one.
+            if not math.isfinite(sum(total.tolist())):
                 finite &= np.isfinite(total)
                 if not finite.any():
                     raise DivergenceError(f"{algorithm} squared error left the finite range")
