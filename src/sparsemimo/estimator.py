@@ -111,7 +111,7 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     sums = (np.abs(h) ** p).sum(axis=-1, keepdims=True)
     # both norm powers per row in scalar pow: numpy's array ** rounds some
     # values differently, and the goldens pin these bits
-    scale = np.array([float(s ** (1.0 / p)) ** (1.0 - p) for s in sums.flat]).reshape(sums.shape)
+    scale = np.array([(s ** (1.0 / p)) ** (1.0 - p) for s in sums.ravel().tolist()]).reshape(sums.shape)
     return scale * np.sign(h) / (epsilon + np.abs(h) ** (1.0 - p))
 
 

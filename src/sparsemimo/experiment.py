@@ -277,7 +277,10 @@ def run_single(rows: np.ndarray, cells: list[CellConfig], algorithm: str,
             window[:, 0] = generator.next()
             y = (rows @ x)[:, None] + (0.0 + np.multiply.outer(rng.standard_normal(nr), stds))
             # np.vecdot, not @: it gives the bits of the one-row h @ x
-            e = (y - np.vecdot(estimates, x))[..., None]
+            e = y - np.vecdot(estimates, x)
+            # a lone cell's error goes to the rule as a float, whose scalar
+            # arithmetic costs less than a (1, 1) array's
+            e = e[..., None] if len(cells) > 1 else e[:, 0].tolist()
             for i in range(nr):
                 estimates[i] = update(hyper, estimates[i], x, e[i])
             diff = rows[:, None, :] - estimates
