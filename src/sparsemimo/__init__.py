@@ -12,12 +12,7 @@ tool for batch runs.
 __version__ = "0.1.0"
 
 from .channel import assemble_mimo_channel, generate_sparse_channel
-from .signal import (
-    GENERATOR_KINDS,
-    TrainingGenerator,
-    ofdm_time_samples,
-    snr_to_variance,
-)
+from .signal import GENERATOR_KINDS, ofdm_time_samples, snr_to_variance
 from .estimator import (
     ALGORITHMS,
     HyperParams,
@@ -33,6 +28,7 @@ from .experiment import (
     DivergenceError,
     ExperimentConfig,
     GridResult,
+    draw_run,
     first_iteration_below,
     run_grid,
     run_single,
@@ -45,7 +41,6 @@ __all__ = [
     "GENERATOR_KINDS",
     "assemble_mimo_channel",
     "generate_sparse_channel",
-    "TrainingGenerator",
     "ofdm_time_samples",
     "snr_to_variance",
     "HyperParams",
@@ -59,6 +54,7 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "GridResult",
+    "draw_run",
     "first_iteration_below",
     "run_grid",
     "run_single",

@@ -24,8 +24,8 @@ piecewise rule approximates) and its penalty are kept as test oracles.
 
 Neither :class:`HyperParams`, the rules nor the attractors they call
 validate the knobs or check the result for finiteness: ``ExperimentConfig``
-validates the knobs once, and a run checks its squared error once per
-iteration.
+validates the knobs once, and a run checks its squared errors once per
+block of iterations.
 """
 from __future__ import annotations
 
@@ -108,11 +108,12 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     with sgn(0) = 0; ``epsilon > 0`` removes the singularity of vanishing
     taps.
     """
-    sums = (np.abs(h) ** p).sum(axis=-1, keepdims=True)
+    magnitude = np.abs(h)
+    sums = (magnitude ** p).sum(axis=-1, keepdims=True)
     # both norm powers per row in scalar pow: numpy's array ** rounds some
     # values differently, and the goldens pin these bits
     scale = np.array([(s ** (1.0 / p)) ** (1.0 - p) for s in sums.ravel().tolist()]).reshape(sums.shape)
-    return scale * np.sign(h) / (epsilon + np.abs(h) ** (1.0 - p))
+    return scale * np.sign(h) / (epsilon + magnitude ** (1.0 - p))
 
 
 def lp_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:

@@ -7,13 +7,16 @@ algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
 
-Because those realizations are shared, one run of one algorithm advances
-every step size and SNR of a K together: its channel, training and
-unit-scale noise are drawn once per iteration, and one array step per
-receive antenna updates the estimates of all those cells, each cell's
-noise scaled by its own SNR. A cell whose run diverges is dropped from
-that run alone; the other cells are untouched by it and come out bit for
-bit as they would alone.
+Because those realizations are shared, a run is drawn once: its channel
+epochs, training stream and unit-scale noise come from one pass over its
+random stream, before any adaptation. Every algorithm's run then reads
+those arrays, and one run of one algorithm advances every step size and
+SNR of a K together: one array step per receive antenna updates the
+estimates of all those cells, each cell's noise scaled by its own SNR.
+The regressors, received samples and squared errors are computed a block
+of iterations at a time; only the update itself runs per iteration. A
+cell whose run diverges is dropped from that run alone; the other cells
+are untouched by it and come out bit for bit as they would alone.
 
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
@@ -31,10 +34,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import assemble_mimo_channel
 from .estimator import ALGORITHMS, HyperParams, update
-from .signal import GENERATOR_KINDS, TrainingGenerator, snr_to_variance
+from .signal import GENERATOR_KINDS, SUBCARRIERS, ofdm_time_samples, snr_to_variance
 
 __all__ = [
     "LAMBDA_LP_NOISE_RATIO",
@@ -44,6 +48,7 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "GridResult",
+    "draw_run",
     "first_iteration_below",
     "run_grid",
     "run_single",
@@ -54,6 +59,7 @@ __all__ = [
 LAMBDA_LP_NOISE_RATIO = 1e-4
 LAMBDA_L0_NOISE_RATIO = 1e-3
 TAIL_FRACTION = 0.2  # final share of a trace that steady_state_mse averages
+BLOCK = 64  # iterations run_single advances per array block
 
 _STREAM_CHANNEL = 0
 _STREAM_LOOP = 1
@@ -234,24 +240,89 @@ def _make_channel(config: ExperimentConfig, k: int, run: int) -> np.ndarray:
     return assemble_mimo_channel(config.nt, config.nr, config.length, k, rng)
 
 
-def run_single(rows: np.ndarray, cells: list[CellConfig], algorithm: str,
-               rng: np.random.Generator) -> list[np.ndarray | None]:
+def draw_run(cell: CellConfig, rows: np.ndarray,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every draw of one run, taken from ``rng`` in the stream order.
+
+    ``rows`` is the run's first ``(nr, nt * L)`` channel. Each iteration
+    ``n >= 1`` draws, in this order: a new channel when a fading period
+    starts (``n % fading_period == 0``), one training sample per transmit
+    antenna, and one unit-scale noise sample per receive antenna. Only the
+    cell's draw parameters are read: antenna counts, L, K, iterations,
+    generator and fading period.
+
+    Returns ``(channels, training, noise)``: the channel epochs as an
+    ``(epochs, nr, nt * L)`` array, epoch ``e`` in force from iteration
+    ``e * fading_period``; the ``(iterations, nt)`` training stream and the
+    ``(iterations, nr)`` unit noise, whose row ``n`` is iteration ``n``'s
+    draw and row 0 zeros, as the cold start draws nothing.
+    """
+    nt, nr, length, iterations = cell.nt, cell.nr, cell.length, cell.iterations
+    kind = cell.generator
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown training generator {kind!r}; expected one of {GENERATOR_KINDS}")
+    if rows.shape != (nr, nt * length):
+        raise ValueError(f"channel must be shaped {(nr, nt * length)}, got {rows.shape}")
+    period = cell.fading_period or iterations
+    channels = [rows]
+    training = np.zeros((iterations, nt))
+    noise = np.zeros((iterations, nr))
+    ofdm_bits = []
+    # the draws change pattern only where a fading period or an ofdm block
+    # starts; in between they come in one block, or per iteration for bpsk
+    step = SUBCARRIERS if kind == "ofdm" else iterations
+    bounds = sorted({*range(1, iterations, step), *range(period, iterations, period)}) + [iterations]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if start % period == 0:
+            channels.append(assemble_mimo_channel(nt, nr, length, cell.sparsity, rng))
+        if kind == "gaussian":
+            block = rng.standard_normal((stop - start, nt + nr))
+            training[start:stop] = block[:, :nt]
+            noise[start:stop] = block[:, nt:]
+        elif kind == "bpsk":
+            for n in range(start, stop):
+                training[n] = rng.integers(0, 2, nt)
+                rng.standard_normal(out=noise[n])
+        else:
+            if (start - 1) % SUBCARRIERS == 0:
+                ofdm_bits.append((rng.integers(0, 2, (nt, SUBCARRIERS)),
+                                  rng.integers(0, 2, (nt, SUBCARRIERS))))
+            rng.standard_normal(out=noise[start:stop])
+    if kind == "bpsk":
+        training[1:] = training[1:] * 2.0 - 1.0
+    elif kind == "ofdm" and ofdm_bits:
+        re, im = (np.array(bits) * 2.0 - 1.0 for bits in zip(*ofdm_bits))
+        blocks = ofdm_time_samples((re + 1j * im) / math.sqrt(2.0)).real * math.sqrt(2.0)
+        # (blocks, nt, SUBCARRIERS) -> samples in time order, one row each
+        training[1:] = blocks.transpose(0, 2, 1).reshape(-1, nt)[:iterations - 1]
+    return np.stack(channels), training, noise
+
+
+def run_single(draws: tuple[np.ndarray, np.ndarray, np.ndarray], cells: list[CellConfig],
+               algorithm: str) -> list[np.ndarray | None]:
     """One adaptive identification run of ``algorithm`` for every cell.
 
-    ``rows`` is the ``(nr, nt * L)`` channel. The cells may differ only in
-    SNR and hyperparameters, which leave the draws alone, so they share the
-    channel and every draw: per iteration one training sample per transmit
-    antenna, then one unit-scale noise sample ``z`` per receive antenna.
-    Each cell's noise is ``0.0 + std * z``, bit for bit what
-    ``rng.normal(0.0, std, nr)`` gives, so every cell comes out as it does
-    alone. Returns each cell's per-iteration squared error: entry 0 is the
-    cold-start error of the all-zero estimates; each later entry is
-    recorded after that iteration's update of every receive antenna's
-    estimate. A cell whose squared error left the finite range gets
-    ``None``; once every cell's has, the run raises :class:`DivergenceError`.
+    ``draws`` is what :func:`draw_run` returns for the run. The cells may
+    differ only in SNR and hyperparameters, which leave the draws alone, so
+    they share them: each cell's noise is ``0.0 + std * z`` of the unit
+    noise ``z``, bit for bit what ``rng.normal(0.0, std, nr)`` gives, so
+    every cell comes out as it does alone. Returns each cell's
+    per-iteration squared error: entry 0 is the cold-start error of the
+    all-zero estimates; each later entry is recorded after that
+    iteration's update of every receive antenna's estimate. A cell whose
+    squared error left the finite range gets ``None``; once every cell's
+    has, the run raises :class:`DivergenceError`.
+
+    The run advances ``BLOCK`` iterations at a time. A block's regressors,
+    received samples, squared errors and finiteness check are array
+    operations; only the a-priori error and one ``update`` call per
+    receive antenna run per iteration. The block length leaves every bit
+    of the output as it is.
     """
+    channels, training, noise = draws
     first = cells[0]
     nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
+    period = first.fading_period or iterations
     # a knob that differs between cells becomes a (cells, 1) column, which
     # the rule broadcasts; a shared one stays a float, which is cheaper
     knobs = {}
@@ -260,45 +331,50 @@ def run_single(rows: np.ndarray, cells: list[CellConfig], algorithm: str,
         knobs[name] = values[0] if len(set(values)) == 1 else np.array(values)[:, None]
     hyper = replace(first.hyper, algorithm=algorithm, **knobs)
     stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for cell in cells])
-    # antenna i's estimates of every cell form the (cells, nt * L) block i
-    estimates = np.zeros((nr, len(cells), nt * length))
-    generator = TrainingGenerator(first.generator, nt, rng)
-    # each antenna's last L samples, newest first; x is a view of it
-    window = np.zeros((nt, length))
-    x = window.reshape(-1)
+    taps, lone = nt * length, len(cells) == 1
+    # the regressor of iteration n holds each antenna's samples n, n-1, ...,
+    # n-L+1, zero before the start: a reversed window onto the padded stream
+    padded = np.concatenate([np.zeros((length - 1, nt)), training])
+    windows = sliding_window_view(padded, length, axis=0)[:, :, ::-1]
+    # estimates[j] holds every antenna's (cells, nt * L) estimates after the
+    # block's j-th iteration; estimates[0] carries over from the last block
+    estimates = np.zeros((min(BLOCK, iterations) + 1, nr, len(cells), taps))
     squared = np.empty((len(cells), iterations))
-    squared[:, 0] = float(np.sum(rows * rows))
+    squared[:, 0] = float(np.sum(channels[0] * channels[0]))
     finite = np.ones(len(cells), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, iterations):
-            if first.fading_period and n % first.fading_period == 0:
-                rows = assemble_mimo_channel(nt, nr, length, first.sparsity, rng)
-            window[:, 1:] = window[:, :-1]
-            window[:, 0] = generator.next()
-            y = (rows @ x)[:, None] + (0.0 + np.multiply.outer(rng.standard_normal(nr), stds))
-            # np.vecdot, not @: it gives the bits of the one-row h @ x
-            e = y - np.vecdot(estimates, x)
-            # a lone cell's error goes to the rule as a float, whose scalar
-            # arithmetic costs less than a (1, 1) array's
-            e = e[..., None] if len(cells) > 1 else e[:, 0].tolist()
-            for i in range(nr):
-                estimates[i] = update(hyper, estimates[i], x, e[i])
-            diff = rows[:, None, :] - estimates
+        for start in range(1, iterations, BLOCK):
+            size = min(BLOCK, iterations - start)
+            xs = windows[start:start + size].reshape(size, taps)
+            hs = channels[np.arange(start, start + size) // period]
+            # a stack of (nr, nt*L) @ (nt*L, 1) products gives the bits of
+            # the one-iteration rows @ x (gemv); xs @ rows.T runs as gemm
+            # and moves them
+            ys = np.matmul(hs, xs[:, :, None]) + (0.0 + noise[start:start + size, :, None] * stds)
+            for j in range(size):
+                x, before, after = xs[j], estimates[j], estimates[j + 1]
+                # np.vecdot, not @: it gives the bits of the one-row h @ x
+                e = ys[j] - np.vecdot(before, x)
+                # a lone cell's error goes to the rule as a float, whose
+                # scalar arithmetic costs less than a (1, 1) array's
+                e = e[:, 0].tolist() if lone else e[..., None]
+                for i in range(nr):
+                    after[i] = update(hyper, before[i], x, e[i])
+            diff = hs[:, :, None, :] - estimates[1:size + 1]
             per_row = np.vecdot(diff, diff)
             # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
             # the terms differently and move bits
-            total = per_row[0]
+            total = per_row[:, 0]
             for i in range(1, nr):
-                total = total + per_row[i]
-            squared[:, n] = total
+                total = total + per_row[:, i]
+            squared[:, start:start + size] = total.T
             # a non-finite estimate makes its squared error non-finite too,
             # and a finite one can still overflow it; either way the cell's
-            # run is useless for averaging. A Python sum of the errors is the
-            # cheap test; only a non-finite sum needs the per-cell one.
-            if not math.isfinite(sum(total.tolist())):
-                finite &= np.isfinite(total)
-                if not finite.any():
-                    raise DivergenceError(f"{algorithm} squared error left the finite range")
+            # run is useless for averaging
+            finite &= np.isfinite(total).all(axis=0)
+            if not finite.any():
+                raise DivergenceError(f"{algorithm} squared error left the finite range")
+            estimates[0] = estimates[size]
     return [curve if ok else None for curve, ok in zip(squared, finite)]
 
 
@@ -341,16 +417,16 @@ class GridResult(Mapping):
 
 def _grid_task(args):
     config, k, run = args
-    rows = _make_channel(config, k, run)
+    keys = [key for key in config.cell_keys() if key.k == k]
+    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+    draws = draw_run(config.cell(keys[0].snr_db, keys[0].mu, k), _make_channel(config, k, run), rng)
     curves = []
     # cell_keys puts algorithms outermost: each algorithm's cells are adjacent
-    keys = (key for key in config.cell_keys() if key.k == k)
     for algorithm, same in itertools.groupby(keys, key=lambda key: key.algorithm):
         same = list(same)
-        rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
         cells = [config.cell(key.snr_db, key.mu, k) for key in same]
         try:
-            curves += zip(same, run_single(rows, cells, algorithm, rng))
+            curves += zip(same, run_single(draws, cells, algorithm))
         except DivergenceError:
             curves += [(key, None) for key in same]
     return run, curves
@@ -360,7 +436,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     """Run the whole grid; diverged runs are dropped per cell, not fatal.
 
     A task is one ``(K, run)`` pair: the cells that share K share the
-    run's channel and draws, so one :func:`run_single` pass per algorithm
+    run's channel and draws, so the task draws them once with
+    :func:`draw_run` and one :func:`run_single` pass per algorithm
     advances them all. Results are bit-identical for a fixed master seed
     regardless of ``workers``: every task is a pure function of the config,
     and each cell's runs are summed in run order.

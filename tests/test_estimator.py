@@ -19,7 +19,7 @@ from sparsemimo.estimator import (
     nlms_update,
     update,
 )
-from sparsemimo.experiment import DivergenceError, ExperimentConfig, run_single
+from sparsemimo.experiment import DivergenceError, ExperimentConfig, draw_run, run_single
 
 
 def _vec(values):
@@ -345,8 +345,9 @@ class TestCommonUpdateContract:
         config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), iterations=400)
         rows = np.zeros((1, 4 * 32))
         rows[0, 0] = 1.0
+        cell = config.cell(10.0, 1.0, 1)
         with pytest.raises(DivergenceError, match="lms"):
-            run_single(rows, [config.cell(10.0, 1.0, 1)], "lms", np.random.default_rng(0))
+            run_single(draw_run(cell, rows, np.random.default_rng(0)), [cell], "lms")
 
 
 class TestHyperParams:

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo experiment harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sparsemimo.experiment import (
     CellKey,
     DivergenceError,
     ExperimentConfig,
+    draw_run,
     first_iteration_below,
     run_grid,
     run_single,
@@ -33,22 +35,24 @@ def _tiny_config(**overrides):
 def _mean_of(monkeypatch, *runs):
     """The curve of a one-cell grid whose runs return ``runs`` in order."""
     outputs = iter(runs)
-    monkeypatch.setattr(experiment, "run_single", lambda rows, cells, algorithm, rng: [np.array(next(outputs))])
+    monkeypatch.setattr(experiment, "run_single", lambda draws, cells, algorithm: [np.array(next(outputs))])
     return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
 
 class TestRunSingle:
     def test_cold_start_error_is_total_channel_energy(self):
         config = _tiny_config()
+        cell = config.cell(10.0, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
-        out = run_single(rows, [config.cell(10.0, 0.5, 1)], "nlms", np.random.default_rng(1))[0]
+        out = run_single(draw_run(cell, rows, np.random.default_rng(1)), [cell], "nlms")[0]
         assert out.shape == (50,)
         assert out[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_noiseless_identification_converges(self):
         config = _tiny_config(length=16, snr_db=(math.inf,), mu=(1.0,), iterations=2000)
+        cell = config.cell(math.inf, 1.0, 1)
         rows = assemble_mimo_channel(2, 2, 16, 1, np.random.default_rng(5))
-        out = run_single(rows, [config.cell(math.inf, 1.0, 1)], "nlms", np.random.default_rng(6))[0]
+        out = run_single(draw_run(cell, rows, np.random.default_rng(6)), [cell], "nlms")[0]
         assert out[-1] < 1e-6
 
     def test_receive_antennas_do_not_interact(self):
@@ -58,21 +62,57 @@ class TestRunSingle:
         cell = config.cell(math.inf, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(9))
         swapped = rows[[1, 0]]
-        a = run_single(rows, [cell], "nlms", np.random.default_rng(2))[0]
-        b = run_single(swapped, [cell], "nlms", np.random.default_rng(2))[0]
+        a = run_single(draw_run(cell, rows, np.random.default_rng(2)), [cell], "nlms")[0]
+        b = run_single(draw_run(cell, swapped, np.random.default_rng(2)), [cell], "nlms")[0]
         assert a.tobytes() == b.tobytes()
 
     def test_fading_redraws_channel(self):
         config = _tiny_config(iterations=400, fading_period=100)
         cell = config.cell(10.0, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(4))
-        faded = run_single(rows, [cell], "nlms", np.random.default_rng(8))[0]
-        static = run_single(
-            rows, [_tiny_config(iterations=400).cell(10.0, 0.5, 1)], "nlms", np.random.default_rng(8)
-        )[0]
+        faded = run_single(draw_run(cell, rows, np.random.default_rng(8)), [cell], "nlms")[0]
+        static_cell = _tiny_config(iterations=400).cell(10.0, 0.5, 1)
+        static = run_single(draw_run(static_cell, rows, np.random.default_rng(8)), [static_cell], "nlms")[0]
         assert np.isfinite(faded).all()
         # the redraw at iteration 100 bumps the error of the faded run
         assert faded[100] > static[100]
+
+    def test_output_does_not_depend_on_the_block_length(self, monkeypatch):
+        # every rule; fading epochs of 50 iterations straddle the blocks;
+        # lms drops runs 2 and 3 at 10 dB, mu=0.5 and every run at inf dB,
+        # mu=1 (seed-pinned)
+        config = _tiny_config(
+            algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), snr_db=(10.0, math.inf),
+            mu=(0.5, 1.0), runs=4, iterations=700, fading_period=50,
+        )
+        results = []
+        for block in (1, 7, experiment.BLOCK, 1000):
+            monkeypatch.setattr(experiment, "BLOCK", block)
+            results.append(run_grid(config))
+        reference = results[0]
+        assert reference.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [2, 3]
+        assert reference.diverged[CellKey("lms", math.inf, 1.0, 1, 2, 2)] == [0, 1, 2, 3]
+        for result in results[1:]:
+            assert result.diverged == reference.diverged
+            assert result.keys() == reference.keys()
+            for key in reference:
+                assert result[key].tobytes() == reference[key].tobytes(), key
+
+    def test_memory_stays_within_a_block_of_the_draws(self):
+        # a (iterations, nt * L) regressor matrix for this run alone would
+        # take 41 MB; the draws, the curve and one block take a few
+        config = ExperimentConfig(
+            nt=4, nr=4, length=64, sparsity=(4,), snr_db=(10.0,), mu=(0.5,),
+            algorithms=("nlms",), runs=1, iterations=20_000,
+        )
+        tracemalloc.start()
+        try:
+            result = run_grid(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 1
+        assert peak < 8 * 2**20
 
 
 class TestAverageMse:
@@ -259,7 +299,8 @@ class TestRunGrid:
                 rows = experiment._make_channel(config, key.k, run)
                 seed = experiment._realization_seed(config, key.k, run, experiment._STREAM_LOOP)
                 try:
-                    survivors.append(run_single(rows, [cell], key.algorithm, np.random.default_rng(seed))[0])
+                    draws = draw_run(cell, rows, np.random.default_rng(seed))
+                    survivors.append(run_single(draws, [cell], key.algorithm)[0])
                 except DivergenceError:
                     continue
             expected = np.mean(np.stack(survivors), axis=0)

@@ -8,7 +8,6 @@ PUBLIC = {
     "GENERATOR_KINDS",
     "assemble_mimo_channel",
     "generate_sparse_channel",
-    "TrainingGenerator",
     "ofdm_time_samples",
     "snr_to_variance",
     "HyperParams",
@@ -22,6 +21,7 @@ PUBLIC = {
     "DivergenceError",
     "ExperimentConfig",
     "GridResult",
+    "draw_run",
     "first_iteration_below",
     "run_grid",
     "run_single",

@@ -7,39 +7,95 @@ import pytest
 
 from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.estimator import HyperParams, update
-from sparsemimo.experiment import ExperimentConfig, run_single
+from sparsemimo.experiment import CellConfig, ExperimentConfig, draw_run, run_single
 from sparsemimo.signal import (
     GENERATOR_KINDS,
-    TrainingGenerator,
+    SUBCARRIERS,
     ofdm_time_samples,
     snr_to_variance,
 )
 
 
+def _training(kind, nt, samples, seed):
+    """``samples`` training draws per transmit antenna; row 0, the cold start's, is left out."""
+    config = ExperimentConfig(nt=nt, nr=1, length=1, sparsity=(1,), generator=kind,
+                              iterations=samples + 1)
+    rows = np.zeros((1, nt))
+    return draw_run(config.cell(10.0, 0.5, 1), rows, np.random.default_rng(seed))[1][1:]
+
+
+def _reference_draws(cell, rows, rng):
+    """Every draw of a run from raw ``rng`` calls, one iteration at a time.
+
+    Per iteration: the fading channel when a period starts, the training
+    sample of each transmit antenna, then the unit noise of each receive
+    antenna. ofdm draws the bits of a whole block when its last one is
+    used up.
+    """
+    nt, nr = cell.nt, cell.nr
+    channels, training, noise = [rows], [np.zeros(nt)], [np.zeros(nr)]
+    block, cursor = None, SUBCARRIERS
+    for n in range(1, cell.iterations):
+        if cell.fading_period and n % cell.fading_period == 0:
+            channels.append(assemble_mimo_channel(nt, nr, cell.length, cell.sparsity, rng))
+        if cell.generator == "gaussian":
+            sample = rng.standard_normal(nt)
+        elif cell.generator == "bpsk":
+            sample = rng.integers(0, 2, nt) * 2.0 - 1.0
+        else:
+            if cursor == SUBCARRIERS:
+                re = rng.integers(0, 2, (nt, SUBCARRIERS)) * 2.0 - 1.0
+                im = rng.integers(0, 2, (nt, SUBCARRIERS)) * 2.0 - 1.0
+                symbols = (re + 1j * im) / math.sqrt(2.0)
+                block = np.stack([ofdm_time_samples(symbols[t]) for t in range(nt)]).real * math.sqrt(2.0)
+                cursor = 0
+            sample = block[:, cursor]
+            cursor += 1
+        training.append(sample)
+        noise.append(rng.standard_normal(nr))
+    return np.stack(channels), np.array(training), np.array(noise)
+
+
 class TestTrainingGenerator:
+    """The training stream that ``draw_run`` draws for each generator kind."""
+
     def test_bpsk_is_constant_modulus(self):
-        gen = TrainingGenerator("bpsk", 2, np.random.default_rng(0))
-        draws = np.array([gen.next() for _ in range(500)])
+        draws = _training("bpsk", 2, 500, seed=0)
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert np.mean(draws**2) == 1.0
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_unit_power(self, kind):
-        gen = TrainingGenerator(kind, 1, np.random.default_rng(1))
-        draws = np.array([gen.next()[0] for _ in range(100_000)])
+        draws = _training(kind, 1, 100_000, seed=1)[:, 0]
         assert np.mean(draws**2) == pytest.approx(1.0, rel=0.02)
 
     def test_unknown_kind_rejected(self):
+        cell = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,)).cell(10.0, 0.5, 1)
+        cell = CellConfig(**{**vars(cell), "generator": "qam"})
         with pytest.raises(ValueError):
-            TrainingGenerator("qam", 1, np.random.default_rng(0))
+            draw_run(cell, np.zeros((1, 1)), np.random.default_rng(0))
 
     def test_ofdm_consumes_blocks_deterministically(self):
-        a = TrainingGenerator("ofdm", 2, np.random.default_rng(5))
-        b = TrainingGenerator("ofdm", 2, np.random.default_rng(5))
-        sa = np.array([a.next() for _ in range(150)])  # spans three 64-sample blocks
-        sb = np.array([b.next() for _ in range(150)])
+        sa = _training("ofdm", 2, 150, seed=5)  # spans three 64-sample blocks
+        sb = _training("ofdm", 2, 150, seed=5)
         assert np.array_equal(sa, sb)
         assert np.isfinite(sa).all()
+
+    @pytest.mark.parametrize("fading_period", [None, 43])
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_stream_layout_is_the_per_iteration_order(self, kind, fading_period):
+        # 200 iterations span four ofdm blocks; with a period of 43 the
+        # fading redraw at 129 and the ofdm block at 129 fall together
+        config = ExperimentConfig(nt=2, nr=3, length=4, sparsity=(2,), generator=kind,
+                                  iterations=200, fading_period=fading_period)
+        cell = config.cell(10.0, 0.5, 2)
+        rows = assemble_mimo_channel(2, 3, 4, 2, np.random.default_rng(7))
+        got = draw_run(cell, rows, np.random.default_rng(9))
+        expected = _reference_draws(cell, rows, np.random.default_rng(9))
+        assert [a.shape for a in got] == [a.shape for a in expected]
+        assert len(got[0]) == (5 if fading_period else 1)  # redraws at 43, 86, 129, 172
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestOfdmTimeSamples:
@@ -88,7 +144,8 @@ class TestNoise:
 def _noise_only_run(snr_db, rng, iterations=20_000):
     config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), generator="bpsk",
                               iterations=iterations)
-    return run_single(np.zeros((1, 1)), [config.cell(snr_db, 1.0, 1)], "nlms", rng)[0]
+    cell = config.cell(snr_db, 1.0, 1)
+    return run_single(draw_run(cell, np.zeros((1, 1)), rng), [cell], "nlms")[0]
 
 
 def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
@@ -102,14 +159,13 @@ def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
     start. The draw order is the documented one: training, then noise.
     """
     rng = np.random.default_rng(seed)
-    generator = TrainingGenerator("gaussian", nt, rng)
     std = math.sqrt(snr_to_variance(snr_db))
     nr = rows.shape[0]
     estimates = [np.zeros(nt * length) for _ in range(nr)]
     history = []
     squared = [float(np.sum(rows * rows))]
     for n in range(iterations - 1):
-        history.append(generator.next())
+        history.append(rng.standard_normal(nt))
         noise = rng.normal(0.0, std, nr)
         x = np.array([
             history[n - l][t] if n - l >= 0 else 0.0 for t in range(nt) for l in range(length)
@@ -135,7 +191,7 @@ class TestSystemOutput:
         cell = config.cell(10.0, 0.5, 2)
         rows = assemble_mimo_channel(nt, nr, length, 2, np.random.default_rng(21))
         for algorithm in ("nlms", "l0_nlms"):
-            got = run_single(rows, [cell], algorithm, np.random.default_rng(4))[0]
+            got = run_single(draw_run(cell, rows, np.random.default_rng(4)), [cell], algorithm)[0]
             hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
             expected = _naive_run(rows, nt, length, 10.0, iterations, hyper, seed=4)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -145,13 +201,14 @@ class TestSystemOutput:
         # all-zero cold start then recovers the channel up to NLMS_DELTA
         config = ExperimentConfig(nt=1, nr=1, length=3, sparsity=(1,), iterations=5)
         rows = np.array([[1.0, 0.0, 0.0]])
-        squared = run_single(rows, [config.cell(math.inf, 1.0, 1)], "nlms", np.random.default_rng(0))[0]
+        cell = config.cell(math.inf, 1.0, 1)
+        squared = run_single(draw_run(cell, rows, np.random.default_rng(0)), [cell], "nlms")[0]
         assert squared[0] == 1.0
         assert np.all(squared[1:] < 1e-20)
 
     def test_dimension_mismatch_rejected(self):
         cell = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), iterations=5).cell(10.0, 0.5, 1)
         with pytest.raises(ValueError):
-            run_single(np.zeros((2, 2 * 4)), [cell], "nlms", np.random.default_rng(0))
+            run_single(draw_run(cell, np.zeros((2, 2 * 4)), np.random.default_rng(0)), [cell], "nlms")
         with pytest.raises(ValueError):
-            run_single(np.zeros((3, 2 * 8)), [cell], "nlms", np.random.default_rng(0))
+            run_single(draw_run(cell, np.zeros((3, 2 * 8)), np.random.default_rng(0)), [cell], "nlms")
