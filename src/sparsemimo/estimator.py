@@ -1,12 +1,16 @@
 """Adaptive update rules for identifying one MISO channel row.
 
-Each rule is a pure array function ``rule(hyper, h, x, e) -> h``: it takes
-the current estimate ``h``, the regressor ``x`` and the a-priori error
-``e = y - h @ x`` and returns the next estimate. ``hyper.algorithm`` names
-the rule and :func:`update` dispatches on it. A rule broadcasts over
-leading batch axes: ``h`` may be a ``(..., N)`` stack of estimates with
-``e`` shaped ``(..., 1)`` and ``mu``/``lambda_lp``/``lambda_l0`` arrays
-that broadcast against ``e``; each row then gets the bits it gets alone.
+Each rule is a pure array function ``rule(hyper, h, x, e, energy=None) -> h``:
+it takes the current estimate ``h``, the regressor ``x`` and the a-priori
+error ``e = y - h @ x`` and returns the next estimate. ``energy`` is the
+regressor energy ``x @ x``; a caller that holds it already, as a run does
+for a whole block of regressors at once, hands it in, and the normalized
+rules take it themselves otherwise. ``hyper.algorithm`` names the rule and
+:func:`update` dispatches on it. A rule broadcasts over leading batch axes:
+``h`` may be a ``(..., N)`` stack of estimates with ``e`` shaped
+``(..., 1)``, ``x`` and ``energy`` broadcasting against ``h`` and ``e``,
+and ``mu``/``lambda_lp``/``lambda_l0`` arrays that broadcast against
+``e``; each row then gets the bits it gets alone.
 
 * ``lms``      plain stochastic gradient,   h += mu * e * x
 * ``nlms``     step normalized by the regressor energy,
@@ -20,7 +24,8 @@ The sparse variants subtract the gradient of their sparsity penalty,
 evaluated at the pre-update estimate, so small taps are dragged toward
 zero while dominant taps are left to the normalized gradient step. The
 smooth exponential attractor (the exact penalty gradient that the
-piecewise rule approximates) and its penalty are kept as test oracles.
+piecewise rule approximates), its penalty and the one-row Lp norm live in
+the tests, as oracles.
 
 Neither :class:`HyperParams`, the rules nor the attractors they call
 validate the knobs or check the result for finiteness: ``ExperimentConfig``
@@ -78,27 +83,21 @@ class HyperParams:
         return self.mu * self.lambda_l0
 
 
-def lms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
+def lms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
+               energy: float | np.ndarray | None = None) -> np.ndarray:
     return h + hyper.mu * e * x
 
 
 def nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-                delta: float = NLMS_DELTA) -> np.ndarray:
+                energy: float | np.ndarray | None = None, delta: float = NLMS_DELTA) -> np.ndarray:
     """Energy-normalized gradient step; scale-invariant in (x, y)."""
-    den = delta + float(x @ x)
-    if den == 0.0:
-        # all-zero regressor and no guard: nothing to learn from
+    den = delta + (float(x @ x) if energy is None else energy)
+    if isinstance(den, float) and den == 0.0:
+        # all-zero regressor and no guard: nothing to learn from; a stack's
+        # energies come from a run, whose guard keeps every den positive
         return h
     # the grouping is part of the pinned output: regrouping moves CSV bits
     return h + (hyper.mu * e / den) * x
-
-
-def lp_norm(h, p: float) -> float:
-    """Fractional vector norm ``(sum |h_i|^p) ** (1/p)`` of one row.
-
-    The one-row reference for the norm :func:`lp_attractor` computes per row.
-    """
-    return float(np.sum(np.abs(h) ** p) ** (1.0 / p))
 
 
 def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
@@ -110,34 +109,17 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     """
     magnitude = np.abs(h)
     sums = (magnitude ** p).sum(axis=-1, keepdims=True)
-    # both norm powers per row in scalar pow: numpy's array ** rounds some
-    # values differently, and the goldens pin these bits
-    scale = np.array([(s ** (1.0 / p)) ** (1.0 - p) for s in sums.ravel().tolist()]).reshape(sums.shape)
+    # both norm powers per row as np.float_power, which gives the bits of
+    # Python's scalar float ** float; numpy's array ** rounds some values
+    # differently, and the goldens pin these bits
+    scale = np.float_power(np.float_power(sums, 1.0 / p), 1.0 - p)
     return scale * np.sign(h) / (epsilon + magnitude ** (1.0 - p))
 
 
-def lp_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
+def lp_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
+                   energy: float | np.ndarray | None = None) -> np.ndarray:
     """NLMS step minus rho_lp times the fractional-norm attractor."""
-    return nlms_update(hyper, h, x, e) - hyper.rho_lp * lp_attractor(h, hyper.p, hyper.epsilon)
-
-
-def l0_approx_norm(h, beta: float) -> float:
-    """Smooth nonzero-count surrogate ``sum(1 - exp(-beta * |h_i|))``.
-
-    Never exceeds the exact nonzero count and approaches it as beta grows.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    h = np.asarray(h, dtype=np.float64)
-    return float(np.sum(1.0 - np.exp(-beta * np.abs(h))))
-
-
-def l0_exponential_attractor(h, beta: float) -> np.ndarray:
-    """Exact gradient of :func:`l0_approx_norm`: ``beta * sgn(h) * exp(-beta |h|)``."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    h = np.asarray(h, dtype=np.float64)
-    return beta * np.sign(h) * np.exp(-beta * np.abs(h))
+    return nlms_update(hyper, h, x, e, energy) - hyper.rho_lp * lp_attractor(h, hyper.p, hyper.epsilon)
 
 
 def j_attractor(h, beta: float) -> np.ndarray:
@@ -152,9 +134,10 @@ def j_attractor(h, beta: float) -> np.ndarray:
     return np.where(inside, 2.0 * beta * np.sign(h) - 2.0 * beta**2 * h, 0.0)
 
 
-def l0_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
+def l0_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
+                   energy: float | np.ndarray | None = None) -> np.ndarray:
     """NLMS step minus rho_l0 times the banded attractor."""
-    return nlms_update(hyper, h, x, e) - hyper.rho_l0 * j_attractor(h, hyper.beta)
+    return nlms_update(hyper, h, x, e, energy) - hyper.rho_l0 * j_attractor(h, hyper.beta)
 
 
 _UPDATES = {
@@ -165,7 +148,8 @@ _UPDATES = {
 }
 
 
-def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.ndarray:
+def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
+           energy: float | np.ndarray | None = None) -> np.ndarray:
     """Apply the rule ``hyper.algorithm`` names; the common entry point."""
     try:
         rule = _UPDATES[hyper.algorithm]
@@ -173,4 +157,4 @@ def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float) -> np.nda
         raise ValueError(
             f"unknown algorithm {hyper.algorithm!r}; expected one of {ALGORITHMS}"
         ) from None
-    return rule(hyper, h, x, e)
+    return rule(hyper, h, x, e, energy)

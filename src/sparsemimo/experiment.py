@@ -7,16 +7,18 @@ algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
 
-Because those realizations are shared, a run is drawn once: its channel
-epochs, training stream and unit-scale noise come from one pass over its
-random stream, before any adaptation. Every algorithm's run then reads
-those arrays, and one run of one algorithm advances every step size and
-SNR of a K together: one array step per receive antenna updates the
-estimates of all those cells, each cell's noise scaled by its own SNR.
-The regressors, received samples and squared errors are computed a block
-of iterations at a time; only the update itself runs per iteration. A
-cell whose run diverges is dropped from that run alone; the other cells
-are untouched by it and come out bit for bit as they would alone.
+Because those realizations are shared, a run is drawn once per K: its
+channel epochs, training stream and unit-scale noise come from one pass
+over its random stream, before any adaptation. Cells of different K
+differ only in those draws, so each K's draws are one realization, and one
+call per algorithm advances every K, step size and SNR of a run index
+together: one array step per receive antenna updates the estimates of all
+those (realization, cell) pairs, each cell's noise scaled by its own SNR.
+The regressors, their energies, received samples and squared errors are
+computed a block of iterations at a time; only the update itself runs per
+iteration. A pair whose run diverges is dropped from that run alone; the
+other pairs are untouched by it and come out bit for bit as they would
+alone.
 
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
@@ -26,7 +28,6 @@ holds one array per cell, not one per run. :class:`GridResult` maps each
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -267,6 +268,7 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
     channels = [rows]
     training = np.zeros((iterations, nt))
     noise = np.zeros((iterations, nr))
+    uniforms = np.zeros((iterations, nt), dtype=np.float32) if kind == "bpsk" else None
     ofdm_bits = []
     # the draws change pattern only where a fading period or an ofdm block
     # starts; in between they come in one block, or per iteration for bpsk
@@ -280,8 +282,12 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
             training[start:stop] = block[:, :nt]
             noise[start:stop] = block[:, nt:]
         elif kind == "bpsk":
+            # rng.integers(0, 2) is the top bit of one 32-bit word (Lemire's
+            # method never rejects for a range of 2), and a float32 uniform
+            # is that same word >> 8: the uniform is >= 0.5 exactly when the
+            # bit is 1, and both take one word from the stream
             for n in range(start, stop):
-                training[n] = rng.integers(0, 2, nt)
+                rng.random(out=uniforms[n], dtype=np.float32)
                 rng.standard_normal(out=noise[n])
         else:
             if (start - 1) % SUBCARRIERS == 0:
@@ -289,7 +295,7 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
                                   rng.integers(0, 2, (nt, SUBCARRIERS))))
             rng.standard_normal(out=noise[start:stop])
     if kind == "bpsk":
-        training[1:] = training[1:] * 2.0 - 1.0
+        training[1:] = np.where(uniforms[1:] >= 0.5, 1.0, -1.0)
     elif kind == "ofdm" and ofdm_bits:
         re, im = (np.array(bits) * 2.0 - 1.0 for bits in zip(*ofdm_bits))
         blocks = ofdm_time_samples((re + 1j * im) / math.sqrt(2.0)).real * math.sqrt(2.0)
@@ -298,28 +304,30 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
     return np.stack(channels), training, noise
 
 
-def run_single(draws: tuple[np.ndarray, np.ndarray, np.ndarray], cells: list[CellConfig],
-               algorithm: str) -> list[np.ndarray | None]:
-    """One adaptive identification run of ``algorithm`` for every cell.
+def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], cells: list[CellConfig],
+               algorithm: str) -> list[list[np.ndarray | None]]:
+    """Adaptive identification runs of ``algorithm``, one per realization and cell.
 
-    ``draws`` is what :func:`draw_run` returns for the run. The cells may
-    differ only in SNR and hyperparameters, which leave the draws alone, so
-    they share them: each cell's noise is ``0.0 + std * z`` of the unit
-    noise ``z``, bit for bit what ``rng.normal(0.0, std, nr)`` gives, so
-    every cell comes out as it does alone. Returns each cell's
-    per-iteration squared error: entry 0 is the cold-start error of the
-    all-zero estimates; each later entry is recorded after that
-    iteration's update of every receive antenna's estimate. A cell whose
-    squared error left the finite range gets ``None``; once every cell's
-    has, the run raises :class:`DivergenceError`.
+    ``draws`` lists realizations, each what :func:`draw_run` returns for one
+    run; they must share the cells' shapes, as the draws of one run index
+    at several K do. The cells may differ only in SNR and hyperparameters,
+    which leave the draws alone, so every cell reads every realization:
+    each cell's noise is ``0.0 + std * z`` of the unit noise ``z``, bit for
+    bit what ``rng.normal(0.0, std, nr)`` gives. Returns, for each
+    realization, each cell's per-iteration squared error: entry 0 is the
+    cold-start error of the all-zero estimates; each later entry is
+    recorded after that iteration's update of every receive antenna's
+    estimate. A (realization, cell) pair whose squared error left the
+    finite range gets ``None``; once every pair's has, the call raises
+    :class:`DivergenceError`. Every pair comes out bit for bit as it does
+    alone.
 
-    The run advances ``BLOCK`` iterations at a time. A block's regressors,
-    received samples, squared errors and finiteness check are array
-    operations; only the a-priori error and one ``update`` call per
-    receive antenna run per iteration. The block length leaves every bit
-    of the output as it is.
+    The runs advance ``BLOCK`` iterations at a time. A block's regressors,
+    their energies, received samples, squared errors and finiteness check
+    are array operations; only the a-priori error and one ``update`` call
+    per receive antenna run per iteration. The block length leaves every
+    bit of the output as it is.
     """
-    channels, training, noise = draws
     first = cells[0]
     nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
     period = first.fading_period or iterations
@@ -331,51 +339,60 @@ def run_single(draws: tuple[np.ndarray, np.ndarray, np.ndarray], cells: list[Cel
         knobs[name] = values[0] if len(set(values)) == 1 else np.array(values)[:, None]
     hyper = replace(first.hyper, algorithm=algorithm, **knobs)
     stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for cell in cells])
-    taps, lone = nt * length, len(cells) == 1
+    count, taps = len(draws), nt * length
+    lone = count * len(cells) == 1
+    channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
     # the regressor of iteration n holds each antenna's samples n, n-1, ...,
     # n-L+1, zero before the start: a reversed window onto the padded stream
-    padded = np.concatenate([np.zeros((length - 1, nt)), training])
-    windows = sliding_window_view(padded, length, axis=0)[:, :, ::-1]
-    # estimates[j] holds every antenna's (cells, nt * L) estimates after the
-    # block's j-th iteration; estimates[0] carries over from the last block
-    estimates = np.zeros((min(BLOCK, iterations) + 1, nr, len(cells), taps))
-    squared = np.empty((len(cells), iterations))
-    squared[:, 0] = float(np.sum(channels[0] * channels[0]))
-    finite = np.ones(len(cells), dtype=bool)
+    padded = np.concatenate([np.zeros((count, length - 1, nt)), training], axis=1)
+    windows = sliding_window_view(padded, length, axis=1)[..., ::-1]
+    # estimates[j] holds every antenna's (realizations, cells, nt * L)
+    # estimates after the block's j-th iteration; estimates[0] carries over
+    # from the last block
+    estimates = np.zeros((min(BLOCK, iterations) + 1, nr, count, len(cells), taps))
+    squared = np.empty((count, len(cells), iterations))
+    squared[:, :, 0] = [[float(np.sum(rows[0] * rows[0]))] for rows in channels]
+    finite = np.ones((count, len(cells)), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, iterations, BLOCK):
             size = min(BLOCK, iterations - start)
-            xs = windows[start:start + size].reshape(size, taps)
-            hs = channels[np.arange(start, start + size) // period]
+            xs = windows[:, start:start + size].reshape(count, size, taps)
+            hs = channels[:, np.arange(start, start + size) // period]
             # a stack of (nr, nt*L) @ (nt*L, 1) products gives the bits of
             # the one-iteration rows @ x (gemv); xs @ rows.T runs as gemm
             # and moves them
-            ys = np.matmul(hs, xs[:, :, None]) + (0.0 + noise[start:start + size, :, None] * stds)
+            clean = np.matmul(hs, xs[..., None]).transpose(1, 2, 0, 3)
+            # ys[j] is iteration j's (nr, realizations, cells) received samples
+            ys = clean + (0.0 + noise[:, start:start + size].transpose(1, 2, 0)[..., None] * stds)
+            # np.vecdot gives the bits of the one-row float(x @ x)
+            energies = np.vecdot(xs, xs).T
+            # a lone pair's error and energy go to the rule as floats, whose
+            # scalar arithmetic costs less than a (1, 1, 1) array's
+            energies = energies[:, 0].tolist() if lone else energies[:, :, None, None]
+            xs = xs.transpose(1, 0, 2)[:, :, None]
             for j in range(size):
                 x, before, after = xs[j], estimates[j], estimates[j + 1]
                 # np.vecdot, not @: it gives the bits of the one-row h @ x
                 e = ys[j] - np.vecdot(before, x)
-                # a lone cell's error goes to the rule as a float, whose
-                # scalar arithmetic costs less than a (1, 1) array's
-                e = e[:, 0].tolist() if lone else e[..., None]
+                e = e.ravel().tolist() if lone else e[..., None]
                 for i in range(nr):
-                    after[i] = update(hyper, before[i], x, e[i])
-            diff = hs[:, :, None, :] - estimates[1:size + 1]
+                    after[i] = update(hyper, before[i], x, e[i], energies[j])
+            diff = hs.transpose(1, 2, 0, 3)[:, :, :, None] - estimates[1:size + 1]
             per_row = np.vecdot(diff, diff)
             # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
             # the terms differently and move bits
             total = per_row[:, 0]
             for i in range(1, nr):
                 total = total + per_row[:, i]
-            squared[:, start:start + size] = total.T
+            squared[:, :, start:start + size] = total.transpose(1, 2, 0)
             # a non-finite estimate makes its squared error non-finite too,
-            # and a finite one can still overflow it; either way the cell's
+            # and a finite one can still overflow it; either way the pair's
             # run is useless for averaging
             finite &= np.isfinite(total).all(axis=0)
             if not finite.any():
                 raise DivergenceError(f"{algorithm} squared error left the finite range")
             estimates[0] = estimates[size]
-    return [curve if ok else None for curve, ok in zip(squared, finite)]
+    return [[curve if ok else None for curve, ok in zip(curves, oks)] for curves, oks in zip(squared, finite)]
 
 
 def steady_state_mse(trace: np.ndarray) -> float:
@@ -416,36 +433,41 @@ class GridResult(Mapping):
 
 
 def _grid_task(args):
-    config, k, run = args
-    keys = [key for key in config.cell_keys() if key.k == k]
-    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
-    draws = draw_run(config.cell(keys[0].snr_db, keys[0].mu, k), _make_channel(config, k, run), rng)
+    config, run = args
+    draws = []
+    for k in config.sparsity:
+        rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+        cell = config.cell(config.snr_db[0], config.mu[0], k)
+        draws.append(draw_run(cell, _make_channel(config, k, run), rng))
+    # a cell's K enters only through its draws, so one list serves every K
+    pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
+    cells = [config.cell(snr, mu, config.sparsity[0]) for snr, mu in pairs]
     curves = []
-    # cell_keys puts algorithms outermost: each algorithm's cells are adjacent
-    for algorithm, same in itertools.groupby(keys, key=lambda key: key.algorithm):
-        same = list(same)
-        cells = [config.cell(key.snr_db, key.mu, k) for key in same]
+    for algorithm in config.algorithms:
         try:
-            curves += zip(same, run_single(draws, cells, algorithm))
+            outcome = run_single(draws, cells, algorithm)
         except DivergenceError:
-            curves += [(key, None) for key in same]
+            outcome = [[None] * len(cells)] * len(draws)
+        for k, per_cell in zip(config.sparsity, outcome):
+            curves += [(CellKey(algorithm, snr, mu, k, config.nt, config.nr), curve)
+                       for (snr, mu), curve in zip(pairs, per_cell)]
     return run, curves
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     """Run the whole grid; diverged runs are dropped per cell, not fatal.
 
-    A task is one ``(K, run)`` pair: the cells that share K share the
-    run's channel and draws, so the task draws them once with
-    :func:`draw_run` and one :func:`run_single` pass per algorithm
-    advances them all. Results are bit-identical for a fixed master seed
+    A task is one run index: every cell of that run shares its channel and
+    draws at each K, so the task draws every K once with :func:`draw_run`
+    and one :func:`run_single` call per algorithm advances all of them,
+    each K a realization. Results are bit-identical for a fixed master seed
     regardless of ``workers``: every task is a pure function of the config,
     and each cell's runs are summed in run order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     keys = config.cell_keys()
-    tasks = [(config, k, run) for k in config.sparsity for run in range(config.runs)]
+    tasks = [(config, run) for run in range(config.runs)]
 
     # 0.0 + x is x, so each sum holds exactly its runs added in run order
     sums = {key: np.zeros(config.iterations) for key in keys}

@@ -9,12 +9,9 @@ from sparsemimo.estimator import (
     ALGORITHMS,
     HyperParams,
     j_attractor,
-    l0_approx_norm,
-    l0_exponential_attractor,
     l0_nlms_update,
     lms_update,
     lp_attractor,
-    lp_norm,
     lp_nlms_update,
     nlms_update,
     update,
@@ -24,6 +21,22 @@ from sparsemimo.experiment import DivergenceError, ExperimentConfig, draw_run, r
 
 def _vec(values):
     return np.asarray(values, dtype=float)
+
+
+def lp_norm(h, p):
+    """Fractional vector norm ``(sum |h_i|^p) ** (1/p)`` of one row, in scalar pow."""
+    return float(np.sum(np.abs(h) ** p) ** (1.0 / p))
+
+
+def l0_approx_norm(h, beta):
+    """Smooth nonzero-count surrogate ``sum(1 - exp(-beta * |h_i|))``."""
+    return float(np.sum(1.0 - np.exp(-beta * np.abs(np.asarray(h, dtype=float)))))
+
+
+def l0_exponential_attractor(h, beta):
+    """Exact gradient of :func:`l0_approx_norm`: ``beta * sgn(h) * exp(-beta |h|)``."""
+    h = np.asarray(h, dtype=float)
+    return beta * np.sign(h) * np.exp(-beta * np.abs(h))
 
 
 class TestLms:
@@ -127,6 +140,27 @@ class TestLpAttractor:
         assert out[0] == pytest.approx(expected, abs=1e-12)
         assert out[0] == pytest.approx(0.9860550753913473, abs=1e-12)
         assert out[1] == 0.0
+
+    def test_float_power_matches_scalar_pow(self):
+        # lp_attractor takes each row's two norm powers with np.float_power
+        # because it gives the bits of Python's scalar float ** float, which
+        # the goldens pin; numpy's array ** does not. A numpy that breaks
+        # this moves the sparse rules' output, and this test names why.
+        rng = np.random.default_rng(23)
+        sums = np.concatenate([
+            rng.lognormal(0.0, 3.0, 2000),
+            10.0 ** rng.uniform(-300.0, -200.0, 500),
+            rng.uniform(0.0, 64.0, 2000),
+            [0.0, 1.0, 64.0],
+        ])
+        for p in np.linspace(0.1, 1.0, 10).tolist():
+            got = np.float_power(np.float_power(sums, 1.0 / p), 1.0 - p)
+            expected = np.array([(s ** (1.0 / p)) ** (1.0 - p) for s in sums.tolist()])
+            mismatched = np.flatnonzero(got != expected)
+            assert not mismatched.size, (
+                f"np.float_power differs from scalar pow at p={p} for sums {sums[mismatched[:5]]}: "
+                f"numpy {np.__version__} rounds float_power differently, which moves lp_nlms output"
+            )
 
     def test_points_toward_zero(self):
         rng = np.random.default_rng(12)
@@ -347,7 +381,7 @@ class TestCommonUpdateContract:
         rows[0, 0] = 1.0
         cell = config.cell(10.0, 1.0, 1)
         with pytest.raises(DivergenceError, match="lms"):
-            run_single(draw_run(cell, rows, np.random.default_rng(0)), [cell], "lms")
+            run_single([draw_run(cell, rows, np.random.default_rng(0))], [cell], "lms")
 
 
 class TestHyperParams:

@@ -35,7 +35,7 @@ def _tiny_config(**overrides):
 def _mean_of(monkeypatch, *runs):
     """The curve of a one-cell grid whose runs return ``runs`` in order."""
     outputs = iter(runs)
-    monkeypatch.setattr(experiment, "run_single", lambda draws, cells, algorithm: [np.array(next(outputs))])
+    monkeypatch.setattr(experiment, "run_single", lambda draws, cells, algorithm: [[np.array(next(outputs))]])
     return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
 
@@ -44,7 +44,7 @@ class TestRunSingle:
         config = _tiny_config()
         cell = config.cell(10.0, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
-        out = run_single(draw_run(cell, rows, np.random.default_rng(1)), [cell], "nlms")[0]
+        out = run_single([draw_run(cell, rows, np.random.default_rng(1))], [cell], "nlms")[0][0]
         assert out.shape == (50,)
         assert out[0] == pytest.approx(4.0, abs=1e-9)
 
@@ -52,7 +52,7 @@ class TestRunSingle:
         config = _tiny_config(length=16, snr_db=(math.inf,), mu=(1.0,), iterations=2000)
         cell = config.cell(math.inf, 1.0, 1)
         rows = assemble_mimo_channel(2, 2, 16, 1, np.random.default_rng(5))
-        out = run_single(draw_run(cell, rows, np.random.default_rng(6)), [cell], "nlms")[0]
+        out = run_single([draw_run(cell, rows, np.random.default_rng(6))], [cell], "nlms")[0][0]
         assert out[-1] < 1e-6
 
     def test_receive_antennas_do_not_interact(self):
@@ -62,17 +62,17 @@ class TestRunSingle:
         cell = config.cell(math.inf, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(9))
         swapped = rows[[1, 0]]
-        a = run_single(draw_run(cell, rows, np.random.default_rng(2)), [cell], "nlms")[0]
-        b = run_single(draw_run(cell, swapped, np.random.default_rng(2)), [cell], "nlms")[0]
+        a = run_single([draw_run(cell, rows, np.random.default_rng(2))], [cell], "nlms")[0][0]
+        b = run_single([draw_run(cell, swapped, np.random.default_rng(2))], [cell], "nlms")[0][0]
         assert a.tobytes() == b.tobytes()
 
     def test_fading_redraws_channel(self):
         config = _tiny_config(iterations=400, fading_period=100)
         cell = config.cell(10.0, 0.5, 1)
         rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(4))
-        faded = run_single(draw_run(cell, rows, np.random.default_rng(8)), [cell], "nlms")[0]
+        faded = run_single([draw_run(cell, rows, np.random.default_rng(8))], [cell], "nlms")[0][0]
         static_cell = _tiny_config(iterations=400).cell(10.0, 0.5, 1)
-        static = run_single(draw_run(static_cell, rows, np.random.default_rng(8)), [static_cell], "nlms")[0]
+        static = run_single([draw_run(static_cell, rows, np.random.default_rng(8))], [static_cell], "nlms")[0][0]
         assert np.isfinite(faded).all()
         # the redraw at iteration 100 bumps the error of the faded run
         assert faded[100] > static[100]
@@ -300,7 +300,7 @@ class TestRunGrid:
                 seed = experiment._realization_seed(config, key.k, run, experiment._STREAM_LOOP)
                 try:
                     draws = draw_run(cell, rows, np.random.default_rng(seed))
-                    survivors.append(run_single(draws, [cell], key.algorithm)[0])
+                    survivors.append(run_single([draws], [cell], key.algorithm)[0][0])
                 except DivergenceError:
                     continue
             expected = np.mean(np.stack(survivors), axis=0)
@@ -327,6 +327,27 @@ class TestRunGrid:
                 assert result[key].tobytes() == alone[key].tobytes(), key
         assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [2, 3]
         assert result.diverged[CellKey("lms", math.inf, 1.0, 1, 2, 2)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sparsity_values_do_not_interact(self, workers):
+        # a run advances every K together; each K's cells must come out as
+        # in a grid of that K alone. lms at 10 dB, mu=0.5 drops runs 2 and 3
+        # at K=1 and runs 0-2 at K=4 (seed-pinned), so one run index mixes
+        # diverged and surviving realizations
+        shape = dict(
+            algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), snr_db=(10.0, math.inf),
+            mu=(0.5, 1.0), runs=4, iterations=700, fading_period=50,
+        )
+        result = run_grid(_tiny_config(sparsity=(1, 2, 4), **shape), workers=workers)
+        for k in (1, 2, 4):
+            alone = run_grid(_tiny_config(sparsity=(k,), **shape))
+            for key in alone.diverged:
+                assert result.diverged[key] == alone.diverged[key], key
+                assert (key in result) == (key in alone), key
+                if key in alone:
+                    assert result[key].tobytes() == alone[key].tobytes(), key
+        assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [2, 3]
+        assert result.diverged[CellKey("lms", 10.0, 0.5, 4, 2, 2)] == [0, 1, 2]
 
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(

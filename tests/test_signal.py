@@ -145,7 +145,7 @@ def _noise_only_run(snr_db, rng, iterations=20_000):
     config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), generator="bpsk",
                               iterations=iterations)
     cell = config.cell(snr_db, 1.0, 1)
-    return run_single(draw_run(cell, np.zeros((1, 1)), rng), [cell], "nlms")[0]
+    return run_single([draw_run(cell, np.zeros((1, 1)), rng)], [cell], "nlms")[0][0]
 
 
 def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
@@ -191,7 +191,7 @@ class TestSystemOutput:
         cell = config.cell(10.0, 0.5, 2)
         rows = assemble_mimo_channel(nt, nr, length, 2, np.random.default_rng(21))
         for algorithm in ("nlms", "l0_nlms"):
-            got = run_single(draw_run(cell, rows, np.random.default_rng(4)), [cell], algorithm)[0]
+            got = run_single([draw_run(cell, rows, np.random.default_rng(4))], [cell], algorithm)[0][0]
             hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
             expected = _naive_run(rows, nt, length, 10.0, iterations, hyper, seed=4)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -202,13 +202,13 @@ class TestSystemOutput:
         config = ExperimentConfig(nt=1, nr=1, length=3, sparsity=(1,), iterations=5)
         rows = np.array([[1.0, 0.0, 0.0]])
         cell = config.cell(math.inf, 1.0, 1)
-        squared = run_single(draw_run(cell, rows, np.random.default_rng(0)), [cell], "nlms")[0]
+        squared = run_single([draw_run(cell, rows, np.random.default_rng(0))], [cell], "nlms")[0][0]
         assert squared[0] == 1.0
         assert np.all(squared[1:] < 1e-20)
 
     def test_dimension_mismatch_rejected(self):
         cell = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), iterations=5).cell(10.0, 0.5, 1)
         with pytest.raises(ValueError):
-            run_single(draw_run(cell, np.zeros((2, 2 * 4)), np.random.default_rng(0)), [cell], "nlms")
+            run_single([draw_run(cell, np.zeros((2, 2 * 4)), np.random.default_rng(0))], [cell], "nlms")
         with pytest.raises(ValueError):
-            run_single(draw_run(cell, np.zeros((3, 2 * 8)), np.random.default_rng(0)), [cell], "nlms")
+            run_single([draw_run(cell, np.zeros((3, 2 * 8)), np.random.default_rng(0))], [cell], "nlms")
