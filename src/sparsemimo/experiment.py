@@ -12,8 +12,9 @@ channel epochs, training stream and unit-scale noise come from one pass
 over its random stream, before any adaptation. Cells of different K
 differ only in those draws, so each K's draws are one realization, and one
 call per algorithm advances every K, step size and SNR of a run index
-together: one array step per receive antenna updates the estimates of all
-those (realization, cell) pairs, each cell's noise scaled by its own SNR.
+together: one rule call per iteration updates every receive antenna's
+estimates of all those (realization, cell) pairs, each cell's noise scaled
+by its own SNR; only a lone pair updates its antennas one row at a time.
 The regressors, their energies, received samples and squared errors are
 computed a block of iterations at a time; only the update itself runs per
 iteration. A pair whose run diverges is dropped from that run alone; the
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -325,8 +325,8 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], cells: li
     The runs advance ``BLOCK`` iterations at a time. A block's regressors,
     their energies, received samples, squared errors and finiteness check
     are array operations; only the a-priori error and one ``update`` call
-    per receive antenna run per iteration. The block length leaves every
-    bit of the output as it is.
+    for every receive antenna run per iteration, or for a lone pair one
+    call per antenna on floats. The block length leaves every bit as it is.
     """
     first = cells[0]
     nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
@@ -374,9 +374,11 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], cells: li
                 x, before, after = xs[j], estimates[j], estimates[j + 1]
                 # np.vecdot, not @: it gives the bits of the one-row h @ x
                 e = ys[j] - np.vecdot(before, x)
-                e = e.ravel().tolist() if lone else e[..., None]
-                for i in range(nr):
-                    after[i] = update(hyper, before[i], x, e[i], energies[j])
+                if lone:
+                    for i, ei in enumerate(e.ravel().tolist()):
+                        after[i] = update(hyper, before[i], x, ei, energies[j])
+                else:
+                    after[:] = update(hyper, before, x, e[..., None], energies[j])
             diff = hs.transpose(1, 2, 0, 3)[:, :, :, None] - estimates[1:size + 1]
             per_row = np.vecdot(diff, diff)
             # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
@@ -484,6 +486,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     if workers == 1 or len(tasks) <= 1:
         collect(map(_grid_task, tasks))
     else:
+        # imported here, so serial runs and the command line skip its cost
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (8 * workers))
             collect(pool.map(_grid_task, tasks, chunksize=chunk))

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,14 @@ class TestMainAndManifest:
         stdout = capsys.readouterr().out
         assert "verdict:" in stdout
         assert "steady-state" in stdout
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # a serial run never starts a pool, so it must not pay to import one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, sparsemimo.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["--mu", "-1"]) == 1

@@ -349,6 +349,30 @@ class TestRunGrid:
         assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [2, 3]
         assert result.diverged[CellKey("lms", 10.0, 0.5, 4, 2, 2)] == [0, 1, 2]
 
+    def test_batched_antennas_match_lone_cells(self):
+        # a batched run updates all three receive antennas in one rule call;
+        # a one-cell grid updates them one row at a time. Every cell must
+        # come out as it does alone. lms at mu=1 drops runs 0, 2 and 3 at
+        # K=3 and every run at K=1 (seed-pinned), so the batched stack mixes
+        # diverged and surviving pairs
+        shape = dict(nt=2, nr=3, runs=4, iterations=380, seed=2, fading_period=50)
+        config = _tiny_config(
+            algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), snr_db=(10.0, math.inf),
+            mu=(0.5, 1.0), sparsity=(1, 3), **shape,
+        )
+        result = run_grid(config)
+        for key in config.cell_keys():
+            alone = run_grid(_tiny_config(
+                algorithms=(key.algorithm,), snr_db=(key.snr_db,), mu=(key.mu,), sparsity=(key.k,), **shape,
+            ))
+            assert result.diverged[key] == alone.diverged[key], key
+            assert (key in result) == (key in alone), key
+            if key in alone:
+                assert result[key].tobytes() == alone[key].tobytes(), key
+        assert result.diverged[CellKey("lms", 10.0, 1.0, 3, 2, 3)] == [0, 2, 3]
+        assert result.diverged[CellKey("lms", 10.0, 1.0, 1, 2, 3)] == [0, 1, 2, 3]
+        assert result.diverged[CellKey("lms", 10.0, 0.5, 3, 2, 3)] == []
+
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
             algorithms=("nlms", "l0_nlms"), snr_db=(5.0, 10.0), mu=(0.5, 1.0), sparsity=(1, 4), runs=1, iterations=5
