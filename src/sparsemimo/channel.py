@@ -13,8 +13,6 @@ from transmit antenna ``t``. The support of a link is
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -39,25 +37,34 @@ def generate_sparse_channel(length: int, sparsity: int, rng: np.random.Generator
     are standard Gaussian, and the whole vector is rescaled to unit
     Euclidean norm.
     """
-    if not 1 <= sparsity <= length:
-        raise ValueError(f"sparsity must be in [1, {length}], got {sparsity}")
-    positions = rng.choice(length, size=sparsity, replace=False)
-    values = rng.standard_normal(sparsity)
-    # An exact-zero draw would silently shrink the support; redraw it.
-    while not values.all():
-        zero = values == 0.0
-        values[zero] = rng.standard_normal(int(zero.sum()))
-    values /= math.sqrt(values @ values)
-    taps = np.zeros(length)
-    taps[positions] = values
-    return taps
+    return assemble_mimo_channel(1, 1, length, sparsity, rng)[0]
 
 
 def assemble_mimo_channel(
     nt: int, nr: int, length: int, sparsity: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw all nr*nt links independently (rx outer, tx inner); ``(nr, nt * L)`` rows."""
+    """Draw all nr*nt links independently (rx outer, tx inner); ``(nr, nt * L)`` rows.
+
+    Only the draws run link by link, in stream order; every link is then
+    normalised and placed in one array step.
+    """
     if nt < 1 or nr < 1:
         raise ValueError("antenna counts must be at least 1")
-    links = [generate_sparse_channel(length, sparsity, rng) for _ in range(nr * nt)]
-    return np.concatenate(links).reshape(nr, nt * length)
+    if not 1 <= sparsity <= length:
+        raise ValueError(f"sparsity must be in [1, {length}], got {sparsity}")
+    positions, values = [], []
+    for _ in range(nr * nt):
+        positions.append(rng.choice(length, size=sparsity, replace=False))
+        link = rng.standard_normal(sparsity)
+        # an exact-zero draw would silently shrink the support; redraw it
+        # (a list's all() tests the same truth as link.all(), for less)
+        while not all(link.tolist()):
+            zero = link == 0.0
+            link[zero] = rng.standard_normal(int(zero.sum()))
+        values.append(link)
+    values = np.array(values)
+    # np.vecdot gives each row the bits of the 1-D ``link @ link``
+    values /= np.sqrt(np.vecdot(values, values))[:, None]
+    taps = np.zeros((nr * nt, length))
+    np.put_along_axis(taps, np.array(positions), values, axis=1)
+    return taps.reshape(nr, nt * length)

@@ -177,15 +177,15 @@ def emit_csv(traces, path) -> None:
     items = sorted(traces.items())
     if not items:
         raise ValueError("no traces to emit")
-    lines = [CSV_HEADER]
-    for key, trace in items:
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(trace)
-        prefix = f"{key.algorithm},{_fmt(key.snr_db)},{_fmt(key.mu)},{key.k},{key.nt},{key.nr}"
-        lines.extend(f"{prefix},{i},{value!r},{level!r}"
-                     for i, (value, level) in enumerate(zip(trace.tolist(), db.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(CSV_HEADER + "\n")
+        # one cell's block at a time, so the whole file is never one string
+        for key, trace in items:
+            with np.errstate(divide="ignore"):
+                db = 10.0 * np.log10(trace)
+            prefix = f"{key.algorithm},{_fmt(key.snr_db)},{_fmt(key.mu)},{key.k},{key.nt},{key.nr}"
+            handle.write("".join(f"{prefix},{i},{value!r},{level!r}\n"
+                                 for i, (value, level) in enumerate(zip(trace.tolist(), db.tolist()))))
 
 
 def _ss_db(trace: np.ndarray) -> float:

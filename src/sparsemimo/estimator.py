@@ -35,6 +35,7 @@ block of iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +75,11 @@ class HyperParams:
     epsilon: float = 0.02
     beta: float = 15.0
 
-    @property
+    @cached_property
     def rho_lp(self) -> float:
         return self.mu * self.lambda_lp
 
-    @property
+    @cached_property
     def rho_l0(self) -> float:
         return self.mu * self.lambda_l0
 
@@ -108,7 +109,7 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     taps.
     """
     magnitude = np.abs(h)
-    sums = (magnitude ** p).sum(axis=-1, keepdims=True)
+    sums = np.add.reduce(magnitude ** p, axis=-1, keepdims=True)
     # both norm powers per row as np.float_power, which gives the bits of
     # Python's scalar float ** float; numpy's array ** rounds some values
     # differently, and the goldens pin these bits
