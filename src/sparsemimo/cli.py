@@ -177,15 +177,22 @@ def emit_csv(traces, path) -> None:
     items = sorted(traces.items())
     if not items:
         raise ValueError("no traces to emit")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n")
-        # one cell's block at a time, so the whole file is never one string
+    templates = {}  # trace length -> one bytes template for a whole block
+    with open(path, "wb") as handle:
+        handle.write(CSV_HEADER.encode() + b"\n")
+        # one cell's block at a time, so the whole file is never one buffer
         for key, trace in items:
             with np.errstate(divide="ignore"):
                 db = 10.0 * np.log10(trace)
+            n = len(trace)
+            if n not in templates:
+                # a bytes %r writes repr(float); %s inserts the prefix as is
+                templates[n] = b"".join(b"%s," + b"%d" % i + b",%r,%r\n" for i in range(n))
             prefix = f"{key.algorithm},{_fmt(key.snr_db)},{_fmt(key.mu)},{key.k},{key.nt},{key.nr}"
-            handle.write("".join(f"{prefix},{i},{value!r},{level!r}\n"
-                                 for i, (value, level) in enumerate(zip(trace.tolist(), db.tolist()))))
+            fields = [prefix.encode()] * (3 * n)
+            fields[1::3] = trace.tolist()
+            fields[2::3] = db.tolist()
+            handle.write(templates[n] % tuple(fields))
 
 
 def _ss_db(trace: np.ndarray) -> float:

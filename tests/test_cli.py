@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,18 @@ def _trace(values):
 
 def _key(algorithm, snr=10.0, mu=0.5, k=1, nt=2, nr=2):
     return CellKey(algorithm, snr, mu, k, nt, nr)
+
+
+def _oracle_csv(traces, path):
+    """Reference writer for emit_csv: the header, then one f-string per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(CSV_HEADER + "\n")
+        for key, trace in sorted(traces.items()):
+            with np.errstate(divide="ignore"):
+                db = 10.0 * np.log10(trace)
+            prefix = f"{key.algorithm},{float(key.snr_db)!r},{float(key.mu)!r},{key.k},{key.nt},{key.nr}"
+            for i, (value, level) in enumerate(zip(trace.tolist(), db.tolist())):
+                handle.write(f"{prefix},{i},{value!r},{level!r}\n")
 
 
 TINY_ARGS = [
@@ -177,6 +190,42 @@ class TestEmitCsv:
     def test_empty_traces_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv({}, tmp_path / "t.csv")
+
+    def test_matches_per_row_repr_oracle(self, tmp_path):
+        rng = np.random.default_rng(3)
+        long = np.abs(rng.standard_normal(2000)) * 10.0 ** rng.integers(-300, 300, 2000)
+        traces = {
+            # scientific-form reprs, the smallest subnormal, values >= 1e16, an exact 0.0
+            _key("nlms", snr=math.inf): _trace([1e-05, 2.5e-300, 5e-324, 1e16, 1.5e17, 0.0, 1.0, 0.1 + 0.2]),
+            _key("lp_nlms"): _trace([]),
+            _key("l0%s_nlms%", mu=0.1): _trace([2.0]),
+            _key("nlms", snr=5.0, k=4): long,
+        }
+        out, expected = tmp_path / "t.csv", tmp_path / "oracle.csv"
+        emit_csv(traces, out)
+        _oracle_csv(traces, expected)
+        written = out.read_bytes()
+        assert b"\nnlms,inf,0.5,1,2,2,5,0.0,-inf\n" in written
+        assert b"\nl0%s_nlms%,10.0,0.1,1,2,2,0,2.0," in written
+        assert written == expected.read_bytes()
+
+    def test_streams_one_cell_at_a_time(self, tmp_path):
+        # Each cell's block is formatted and written before the next one's,
+        # so eight cells peak at about one cell's memory. Measured ratio of
+        # the peaks: 1.09 here; 6.5 when every block is formatted before the
+        # first is written.
+        rng = np.random.default_rng(4)
+        cells = [(_key("nlms", mu=0.1 * (j + 1)), rng.uniform(1e-4, 1.0, 10_000)) for j in range(8)]
+
+        def peak(traces):
+            tracemalloc.start()
+            try:
+                emit_csv(traces, tmp_path / "t.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(dict(cells)) <= 1.25 * peak(dict(cells[:1]))
 
 
 class TestEmitSummary:
