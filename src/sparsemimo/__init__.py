@@ -11,7 +11,7 @@ tool for batch runs.
 
 __version__ = "0.1.0"
 
-from .channel import assemble_mimo_channel, generate_sparse_channel
+from .channel import assemble_mimo_channel
 from .signal import GENERATOR_KINDS, ofdm_time_samples, snr_to_variance
 from .estimator import (
     ALGORITHMS,
@@ -23,7 +23,6 @@ from .estimator import (
     update,
 )
 from .experiment import (
-    CellConfig,
     CellKey,
     DivergenceError,
     ExperimentConfig,
@@ -40,7 +39,6 @@ __all__ = [
     "ALGORITHMS",
     "GENERATOR_KINDS",
     "assemble_mimo_channel",
-    "generate_sparse_channel",
     "ofdm_time_samples",
     "snr_to_variance",
     "HyperParams",
@@ -49,7 +47,6 @@ __all__ = [
     "lp_nlms_update",
     "nlms_update",
     "update",
-    "CellConfig",
     "CellKey",
     "DivergenceError",
     "ExperimentConfig",

@@ -15,29 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "generate_sparse_channel",
-    "assemble_mimo_channel",
-]
-
-
-def generate_sparse_channel(length: int, sparsity: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one unit-norm sparse impulse response, a 1-D array of ``length`` taps.
-
-    Parameters
-    ----------
-    length: int
-        Number of taps L.
-    sparsity: int
-        Number of nonzero taps K, with 1 <= K <= L.
-    rng: np.random.Generator
-        Seeded source; the draw is bit-reproducible for a fixed seed.
-
-    The nonzero positions are chosen uniformly without replacement, values
-    are standard Gaussian, and the whole vector is rescaled to unit
-    Euclidean norm.
-    """
-    return assemble_mimo_channel(1, 1, length, sparsity, rng)[0]
+__all__ = ["assemble_mimo_channel"]
 
 
 def assemble_mimo_channel(
@@ -45,8 +23,9 @@ def assemble_mimo_channel(
 ) -> np.ndarray:
     """Draw all nr*nt links independently (rx outer, tx inner); ``(nr, nt * L)`` rows.
 
-    Only the draws run link by link, in stream order; every link is then
-    normalised and placed in one array step.
+    A link's K positions are uniform without replacement and its values
+    standard Gaussian. Only the draws run link by link, in stream order;
+    every link is then normalised and placed in one array step.
     """
     if nt < 1 or nr < 1:
         raise ValueError("antenna counts must be at least 1")

@@ -45,7 +45,6 @@ __all__ = [
     "LAMBDA_LP_NOISE_RATIO",
     "LAMBDA_L0_NOISE_RATIO",
     "CellKey",
-    "CellConfig",
     "DivergenceError",
     "ExperimentConfig",
     "GridResult",
@@ -80,25 +79,6 @@ class CellKey(NamedTuple):
     k: int
     nt: int
     nr: int
-
-
-@dataclass(frozen=True)
-class CellConfig:
-    """Fully resolved scalar parameters for one grid cell.
-
-    ``hyper`` carries the cell's step size and penalty knobs; the algorithm
-    is given to :func:`run_single` separately, which completes it.
-    """
-
-    nt: int
-    nr: int
-    length: int
-    sparsity: int
-    snr_db: float
-    iterations: int
-    generator: str
-    hyper: HyperParams
-    fading_period: int | None = None
 
 
 @dataclass(frozen=True)
@@ -201,13 +181,6 @@ class ExperimentConfig:
             p=self.p, epsilon=self.epsilon, beta=self.beta,
         )
 
-    def cell(self, snr_db: float, mu: float, k: int) -> CellConfig:
-        return CellConfig(
-            nt=self.nt, nr=self.nr, length=self.length, sparsity=k,
-            snr_db=snr_db, iterations=self.iterations, generator=self.generator,
-            hyper=self.hyper_for(snr_db, mu), fading_period=self.fading_period,
-        )
-
     def cell_keys(self) -> list[CellKey]:
         return [
             CellKey(a, s, m, k, self.nt, self.nr)
@@ -236,20 +209,15 @@ def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -
     )
 
 
-def _make_channel(config: ExperimentConfig, k: int, run: int) -> np.ndarray:
-    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL))
-    return assemble_mimo_channel(config.nt, config.nr, config.length, k, rng)
+def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every draw of run ``run`` at sparsity ``k``, seeded from the config.
 
-
-def draw_run(cell: CellConfig, rows: np.ndarray,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every draw of one run, taken from ``rng`` in the stream order.
-
-    ``rows`` is the run's first ``(nr, nt * L)`` channel. Each iteration
-    ``n >= 1`` draws, in this order: a new channel when a fading period
-    starts (``n % fading_period == 0``), one training sample per transmit
-    antenna, and one unit-scale noise sample per receive antenna. Only the
-    cell's draw parameters are read: antenna counts, L, K, iterations,
+    The first ``(nr, nt * L)`` channel comes from the run's channel stream;
+    every later draw from its loop stream, in this order per iteration
+    ``n >= 1``: a new channel when a fading period starts
+    (``n % fading_period == 0``), one training sample per transmit antenna,
+    and one unit-scale noise sample per receive antenna. Only the config's
+    draw parameters are read: seed, antenna counts, L, iterations,
     generator and fading period.
 
     Returns ``(channels, training, noise)``: the channel epochs as an
@@ -258,13 +226,12 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
     ``(iterations, nr)`` unit noise, whose row ``n`` is iteration ``n``'s
     draw and row 0 zeros, as the cold start draws nothing.
     """
-    nt, nr, length, iterations = cell.nt, cell.nr, cell.length, cell.iterations
-    kind = cell.generator
-    if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown training generator {kind!r}; expected one of {GENERATOR_KINDS}")
-    if rows.shape != (nr, nt * length):
-        raise ValueError(f"channel must be shaped {(nr, nt * length)}, got {rows.shape}")
-    period = cell.fading_period or iterations
+    nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
+    kind = config.generator
+    rows = assemble_mimo_channel(
+        nt, nr, length, k, np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)))
+    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+    period = config.fading_period or iterations
     channels = [rows]
     training = np.zeros((iterations, nt))
     noise = np.zeros((iterations, nr))
@@ -276,7 +243,7 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
     bounds = sorted({*range(1, iterations, step), *range(period, iterations, period)}) + [iterations]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if start % period == 0:
-            channels.append(assemble_mimo_channel(nt, nr, length, cell.sparsity, rng))
+            channels.append(assemble_mimo_channel(nt, nr, length, k, rng))
         if kind == "gaussian":
             block = rng.standard_normal((stop - start, nt + nr))
             training[start:stop] = block[:, :nt]
@@ -304,23 +271,25 @@ def draw_run(cell: CellConfig, rows: np.ndarray,
     return np.stack(channels), training, noise
 
 
-def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], cells: list[CellConfig],
+def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: ExperimentConfig,
                algorithm: str) -> list[list[np.ndarray | None]]:
     """Adaptive identification runs of ``algorithm``, one per realization and cell.
 
     ``draws`` lists realizations, each what :func:`draw_run` returns for one
-    run; they must share the cells' shapes, as the draws of one run index
-    at several K do. The cells may differ only in SNR and hyperparameters,
-    which leave the draws alone, so every cell reads every realization:
-    each cell's noise is ``0.0 + std * z`` of the unit noise ``z``, bit for
-    bit what ``rng.normal(0.0, std, nr)`` gives. Returns, for each
-    realization, each cell's per-iteration squared error: entry 0 is the
-    cold-start error of the all-zero estimates; each later entry is
-    recorded after that iteration's update of every receive antenna's
-    estimate. A (realization, cell) pair whose squared error left the
-    finite range gets ``None``; once every pair's has, the call raises
+    run of ``config``, as the draws of one run index at several K are. The
+    cells are the config's (SNR, step size) pairs, SNR outer, in
+    ``config.cell_keys()`` order; they leave the draws alone, so
+    every cell reads every realization: each cell's noise is
+    ``0.0 + std * z`` of the unit noise ``z``, bit for bit what
+    ``rng.normal(0.0, std, nr)`` gives. Returns, for each realization, each
+    cell's per-iteration squared error: entry 0 is the cold-start error of
+    the all-zero estimates; each later entry is recorded after that
+    iteration's update of every receive antenna's estimate. A
+    (realization, cell) pair whose squared error left the finite range gets
+    ``None``; once every pair's has, the call raises
     :class:`DivergenceError`. Every pair comes out bit for bit as it does
-    alone.
+    alone. A subset of cells is ``dataclasses.replace(config, snr_db=...,
+    mu=...)``.
 
     The runs advance ``BLOCK`` iterations at a time. A block's regressors,
     their energies, received samples, squared errors and finiteness check
@@ -328,19 +297,21 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], cells: li
     for every receive antenna run per iteration, or for a lone pair one
     call per antenna on floats. The block length leaves every bit as it is.
     """
-    first = cells[0]
-    nt, nr, length, iterations = first.nt, first.nr, first.length, first.iterations
-    period = first.fading_period or iterations
+    nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
+    period = config.fading_period or iterations
+    pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
+    hypers = [config.hyper_for(snr, mu) for snr, mu in pairs]
+    cells = len(pairs)
     # a knob that differs between cells becomes a (cells, 1) column, which
     # the rule broadcasts; a shared one stays a float, which is cheaper
     knobs = {}
     for name in ("mu", "lambda_lp", "lambda_l0"):
-        values = [getattr(cell.hyper, name) for cell in cells]
+        values = [getattr(h, name) for h in hypers]
         knobs[name] = values[0] if len(set(values)) == 1 else np.array(values)[:, None]
-    hyper = replace(first.hyper, algorithm=algorithm, **knobs)
-    stds = np.array([math.sqrt(snr_to_variance(cell.snr_db)) for cell in cells])
+    hyper = replace(hypers[0], algorithm=algorithm, **knobs)
+    stds = np.array([math.sqrt(snr_to_variance(snr)) for snr, _ in pairs])
     count, taps = len(draws), nt * length
-    lone = count * len(cells) == 1
+    lone = count * cells == 1
     channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
     # the regressor of iteration n holds each antenna's samples n, n-1, ...,
     # n-L+1, zero before the start: a reversed window onto the padded stream
@@ -349,10 +320,10 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], cells: li
     # estimates[j] holds every antenna's (realizations, cells, nt * L)
     # estimates after the block's j-th iteration; estimates[0] carries over
     # from the last block
-    estimates = np.zeros((min(BLOCK, iterations) + 1, nr, count, len(cells), taps))
-    squared = np.empty((count, len(cells), iterations))
+    estimates = np.zeros((min(BLOCK, iterations) + 1, nr, count, cells, taps))
+    squared = np.empty((count, cells, iterations))
     squared[:, :, 0] = [[float(np.sum(rows[0] * rows[0]))] for rows in channels]
-    finite = np.ones((count, len(cells)), dtype=bool)
+    finite = np.ones((count, cells), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, iterations, BLOCK):
             size = min(BLOCK, iterations - start)
@@ -436,20 +407,15 @@ class GridResult(Mapping):
 
 def _grid_task(args):
     config, run = args
-    draws = []
-    for k in config.sparsity:
-        rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
-        cell = config.cell(config.snr_db[0], config.mu[0], k)
-        draws.append(draw_run(cell, _make_channel(config, k, run), rng))
-    # a cell's K enters only through its draws, so one list serves every K
+    # a cell's K enters only through its draws, so one call serves every K
+    draws = [draw_run(config, k, run) for k in config.sparsity]
     pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
-    cells = [config.cell(snr, mu, config.sparsity[0]) for snr, mu in pairs]
     curves = []
     for algorithm in config.algorithms:
         try:
-            outcome = run_single(draws, cells, algorithm)
+            outcome = run_single(draws, config, algorithm)
         except DivergenceError:
-            outcome = [[None] * len(cells)] * len(draws)
+            outcome = [[None] * len(pairs)] * len(draws)
         for k, per_cell in zip(config.sparsity, outcome):
             curves += [(CellKey(algorithm, snr, mu, k, config.nt, config.nr), curve)
                        for (snr, mu), curve in zip(pairs, per_cell)]
@@ -483,7 +449,9 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
                 else:
                     sums[key] += squared
 
-    if workers == 1 or len(tasks) <= 1:
+    # a pool may start every worker up front, so it gets no more than tasks
+    workers = min(workers, len(tasks))
+    if workers == 1:
         collect(map(_grid_task, tasks))
     else:
         # imported here, so serial runs and the command line skip its cost

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from sparsemimo.channel import assemble_mimo_channel, generate_sparse_channel
+from sparsemimo.channel import assemble_mimo_channel
 
 L = 16
+
+
+def generate_sparse_channel(length, sparsity, rng):
+    """One link's ``length`` taps: the channel of one antenna pair."""
+    return assemble_mimo_channel(1, 1, length, sparsity, rng)[0]
 
 
 @pytest.mark.parametrize("sparsity", [1, 4, 16])

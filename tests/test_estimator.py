@@ -376,12 +376,10 @@ class TestCommonUpdateContract:
     def test_divergence_message_names_algorithm(self):
         # the rules return whatever they compute; the run's once-per-iteration
         # squared-error guard reports the divergence and names the rule
-        config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), iterations=400)
-        rows = np.zeros((1, 4 * 32))
-        rows[0, 0] = 1.0
-        cell = config.cell(10.0, 1.0, 1)
+        config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), snr_db=(10.0,), mu=(1.0,),
+                                  iterations=400)
         with pytest.raises(DivergenceError, match="lms"):
-            run_single([draw_run(cell, rows, np.random.default_rng(0))], [cell], "lms")
+            run_single([draw_run(config, 1, 0)], config, "lms")
 
 
 class TestHyperParams:

@@ -1,13 +1,14 @@
 """Tests for the Monte-Carlo experiment harness."""
 
+import concurrent.futures
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sparsemimo import experiment
-from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.experiment import (
     LAMBDA_L0_NOISE_RATIO,
     LAMBDA_LP_NOISE_RATIO,
@@ -35,47 +36,61 @@ def _tiny_config(**overrides):
 def _mean_of(monkeypatch, *runs):
     """The curve of a one-cell grid whose runs return ``runs`` in order."""
     outputs = iter(runs)
-    monkeypatch.setattr(experiment, "run_single", lambda draws, cells, algorithm: [[np.array(next(outputs))]])
+    monkeypatch.setattr(experiment, "run_single", lambda draws, config, algorithm: [[np.array(next(outputs))]])
     return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
 
 
 class TestRunSingle:
     def test_cold_start_error_is_total_channel_energy(self):
         config = _tiny_config()
-        cell = config.cell(10.0, 0.5, 1)
-        rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(0))
-        out = run_single([draw_run(cell, rows, np.random.default_rng(1))], [cell], "nlms")[0][0]
+        out = run_single([draw_run(config, 1, 0)], config, "nlms")[0][0]
         assert out.shape == (50,)
         assert out[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_noiseless_identification_converges(self):
         config = _tiny_config(length=16, snr_db=(math.inf,), mu=(1.0,), iterations=2000)
-        cell = config.cell(math.inf, 1.0, 1)
-        rows = assemble_mimo_channel(2, 2, 16, 1, np.random.default_rng(5))
-        out = run_single([draw_run(cell, rows, np.random.default_rng(6))], [cell], "nlms")[0][0]
+        out = run_single([draw_run(config, 1, 0)], config, "nlms")[0][0]
         assert out[-1] < 1e-6
 
     def test_receive_antennas_do_not_interact(self):
         # noiseless: swapping the channel rows leaves the summed error
         # trace identical because each antenna's estimator is independent
         config = _tiny_config(snr_db=(math.inf,), iterations=300)
-        cell = config.cell(math.inf, 0.5, 1)
-        rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(9))
-        swapped = rows[[1, 0]]
-        a = run_single([draw_run(cell, rows, np.random.default_rng(2))], [cell], "nlms")[0][0]
-        b = run_single([draw_run(cell, swapped, np.random.default_rng(2))], [cell], "nlms")[0][0]
+        channels, training, noise = draw_run(config, 1, 0)
+        swapped = (channels[:, [1, 0]], training, noise)
+        a = run_single([(channels, training, noise)], config, "nlms")[0][0]
+        b = run_single([swapped], config, "nlms")[0][0]
         assert a.tobytes() == b.tobytes()
 
     def test_fading_redraws_channel(self):
+        # the static run keeps the first channel and the same training and noise
         config = _tiny_config(iterations=400, fading_period=100)
-        cell = config.cell(10.0, 0.5, 1)
-        rows = assemble_mimo_channel(2, 2, 8, 1, np.random.default_rng(4))
-        faded = run_single([draw_run(cell, rows, np.random.default_rng(8))], [cell], "nlms")[0][0]
-        static_cell = _tiny_config(iterations=400).cell(10.0, 0.5, 1)
-        static = run_single([draw_run(static_cell, rows, np.random.default_rng(8))], [static_cell], "nlms")[0][0]
+        channels, training, noise = draw_run(config, 1, 0)
+        faded = run_single([(channels, training, noise)], config, "nlms")[0][0]
+        static = run_single([(channels[:1], training, noise)], replace(config, fading_period=None), "nlms")[0][0]
         assert np.isfinite(faded).all()
         # the redraw at iteration 100 bumps the error of the faded run
         assert faded[100] > static[100]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(algorithms=("lms",)), dict(snr_db=(0.0, 20.0)), dict(mu=(1.5,)), dict(lambda_lp=0.1),
+        dict(lambda_l0=0.2), dict(p=0.9), dict(epsilon=0.5), dict(beta=3.0), dict(runs=7),
+        dict(sparsity=(1, 4)),
+    ])
+    def test_draws_ignore_what_is_not_their_data_key(self, overrides):
+        config = _tiny_config(sparsity=(1, 2), iterations=120, fading_period=50)
+        same = draw_run(replace(config, **overrides), 1, 1)
+        assert [a.tobytes() for a in same] == [a.tobytes() for a in draw_run(config, 1, 1)]
+
+    @pytest.mark.parametrize("overrides, k, run", [
+        (dict(seed=4), 1, 1), ({}, 2, 1), ({}, 1, 0), (dict(generator="bpsk"), 1, 1),
+        (dict(fading_period=40), 1, 1), (dict(fading_period=None), 1, 1),
+    ])
+    def test_draws_follow_their_data_key(self, overrides, k, run):
+        config = _tiny_config(sparsity=(1, 2), iterations=120, fading_period=50)
+        other = draw_run(replace(config, **overrides), k, run)
+        for a, b in zip(draw_run(config, 1, 1), other):
+            assert a.tobytes() != b.tobytes()
 
     def test_output_does_not_depend_on_the_block_length(self, monkeypatch):
         # every rule; fading epochs of 50 iterations straddle the blocks;
@@ -293,14 +308,11 @@ class TestRunGrid:
         config = _tiny_config(algorithms=("lms", "nlms"), iterations=700, runs=4, seed=3)
         result = run_grid(config)
         for key in config.cell_keys():
-            cell = config.cell(key.snr_db, key.mu, key.k)
+            cell = replace(config, snr_db=(key.snr_db,), mu=(key.mu,))
             survivors = []
             for run in range(config.runs):
-                rows = experiment._make_channel(config, key.k, run)
-                seed = experiment._realization_seed(config, key.k, run, experiment._STREAM_LOOP)
                 try:
-                    draws = draw_run(cell, rows, np.random.default_rng(seed))
-                    survivors.append(run_single([draws], [cell], key.algorithm)[0][0])
+                    survivors.append(run_single([draw_run(config, key.k, run)], cell, key.algorithm)[0][0])
                 except DivergenceError:
                     continue
             expected = np.mean(np.stack(survivors), axis=0)
@@ -379,6 +391,31 @@ class TestRunGrid:
         )
         result = run_grid(config)
         assert len(result) == 2 * 2 * 2 * 2
+
+    def test_pool_gets_no_more_workers_than_tasks(self, monkeypatch):
+        # a stub pool records its size and maps in process: no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = _tiny_config(runs=3)
+        serial, pooled = run_grid(config), run_grid(config, workers=500)
+        assert sizes == [3]
+        assert [a.tobytes() for a in serial.values()] == [a.tobytes() for a in pooled.values()]
+        run_grid(_tiny_config(runs=1), workers=500)  # one task runs without a pool
+        assert sizes == [3]
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sparsemimo import experiment
 from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.estimator import HyperParams, update
-from sparsemimo.experiment import CellConfig, ExperimentConfig, draw_run, run_single
+from sparsemimo.experiment import ExperimentConfig, draw_run, run_single
 from sparsemimo.signal import (
     GENERATOR_KINDS,
     SUBCARRIERS,
@@ -19,28 +20,31 @@ from sparsemimo.signal import (
 def _training(kind, nt, samples, seed):
     """``samples`` training draws per transmit antenna; row 0, the cold start's, is left out."""
     config = ExperimentConfig(nt=nt, nr=1, length=1, sparsity=(1,), generator=kind,
-                              iterations=samples + 1)
-    rows = np.zeros((1, nt))
-    return draw_run(config.cell(10.0, 0.5, 1), rows, np.random.default_rng(seed))[1][1:]
+                              iterations=samples + 1, seed=seed)
+    return draw_run(config, 1, 0)[1][1:]
 
 
-def _reference_draws(cell, rows, rng):
-    """Every draw of a run from raw ``rng`` calls, one iteration at a time.
+def _reference_draws(config, k, run):
+    """Every draw of a run from raw calls on its two streams, one iteration at a time.
 
-    Per iteration: the fading channel when a period starts, the training
+    The first channel comes from the channel stream. Per iteration on the
+    loop stream: the fading channel when a period starts, the training
     sample of each transmit antenna, then the unit noise of each receive
     antenna. ofdm draws the bits of a whole block when its last one is
     used up.
     """
-    nt, nr = cell.nt, cell.nr
+    nt, nr, length = config.nt, config.nr, config.length
+    seed = experiment._realization_seed(config, k, run, experiment._STREAM_CHANNEL)
+    rows = assemble_mimo_channel(nt, nr, length, k, np.random.default_rng(seed))
+    rng = np.random.default_rng(experiment._realization_seed(config, k, run, experiment._STREAM_LOOP))
     channels, training, noise = [rows], [np.zeros(nt)], [np.zeros(nr)]
     block, cursor = None, SUBCARRIERS
-    for n in range(1, cell.iterations):
-        if cell.fading_period and n % cell.fading_period == 0:
-            channels.append(assemble_mimo_channel(nt, nr, cell.length, cell.sparsity, rng))
-        if cell.generator == "gaussian":
+    for n in range(1, config.iterations):
+        if config.fading_period and n % config.fading_period == 0:
+            channels.append(assemble_mimo_channel(nt, nr, length, k, rng))
+        if config.generator == "gaussian":
             sample = rng.standard_normal(nt)
-        elif cell.generator == "bpsk":
+        elif config.generator == "bpsk":
             sample = rng.integers(0, 2, nt) * 2.0 - 1.0
         else:
             if cursor == SUBCARRIERS:
@@ -69,12 +73,6 @@ class TestTrainingGenerator:
         draws = _training(kind, 1, 100_000, seed=1)[:, 0]
         assert np.mean(draws**2) == pytest.approx(1.0, rel=0.02)
 
-    def test_unknown_kind_rejected(self):
-        cell = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,)).cell(10.0, 0.5, 1)
-        cell = CellConfig(**{**vars(cell), "generator": "qam"})
-        with pytest.raises(ValueError):
-            draw_run(cell, np.zeros((1, 1)), np.random.default_rng(0))
-
     def test_ofdm_consumes_blocks_deterministically(self):
         sa = _training("ofdm", 2, 150, seed=5)  # spans three 64-sample blocks
         sb = _training("ofdm", 2, 150, seed=5)
@@ -88,10 +86,8 @@ class TestTrainingGenerator:
         # fading redraw at 129 and the ofdm block at 129 fall together
         config = ExperimentConfig(nt=2, nr=3, length=4, sparsity=(2,), generator=kind,
                                   iterations=200, fading_period=fading_period)
-        cell = config.cell(10.0, 0.5, 2)
-        rows = assemble_mimo_channel(2, 3, 4, 2, np.random.default_rng(7))
-        got = draw_run(cell, rows, np.random.default_rng(9))
-        expected = _reference_draws(cell, rows, np.random.default_rng(9))
+        got = draw_run(config, 2, 5)
+        expected = _reference_draws(config, 2, 5)
         assert [a.shape for a in got] == [a.shape for a in expected]
         assert len(got[0]) == (5 if fading_period else 1)  # redraws at 43, 86, 129, 172
         for a, b in zip(got, expected):
@@ -132,20 +128,20 @@ class TestNoise:
         # one bpsk tap, zero channel: an NLMS step with mu=1 sets the
         # estimate to z * x, so each squared error is the noise sample z^2
         # and their mean is the noise variance 1/SNR of the SNR convention
-        squared = _noise_only_run(10.0, np.random.default_rng(3))
+        squared = _noise_only_run(10.0, 3)
         assert np.mean(squared[1:]) == pytest.approx(snr_to_variance(10.0), rel=0.03)
 
     def test_distinct_streams_are_independent(self):
-        a = _noise_only_run(10.0, np.random.default_rng(1))
-        b = _noise_only_run(10.0, np.random.default_rng(2))
+        a = _noise_only_run(10.0, 1)
+        b = _noise_only_run(10.0, 2)
         assert not np.array_equal(a, b)
 
 
-def _noise_only_run(snr_db, rng, iterations=20_000):
-    config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), generator="bpsk",
-                              iterations=iterations)
-    cell = config.cell(snr_db, 1.0, 1)
-    return run_single([draw_run(cell, np.zeros((1, 1)), rng)], [cell], "nlms")[0][0]
+def _noise_only_run(snr_db, seed, iterations=20_000):
+    config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), snr_db=(snr_db,), mu=(1.0,),
+                              generator="bpsk", iterations=iterations, seed=seed)
+    _, training, noise = draw_run(config, 1, 0)
+    return run_single([(np.zeros((1, 1, 1)), training, noise)], config, "nlms")[0][0]
 
 
 def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
@@ -186,29 +182,30 @@ def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
 class TestSystemOutput:
     def test_matches_naive_convolution_oracle(self):
         nt, nr, length, iterations = 2, 2, 4, 30
-        config = ExperimentConfig(nt=nt, nr=nr, length=length, sparsity=(2,), iterations=iterations,
-                                  lambda_l0=1e-2)
-        cell = config.cell(10.0, 0.5, 2)
-        rows = assemble_mimo_channel(nt, nr, length, 2, np.random.default_rng(21))
+        config = ExperimentConfig(nt=nt, nr=nr, length=length, sparsity=(2,), snr_db=(10.0,), mu=(0.5,),
+                                  iterations=iterations, lambda_l0=1e-2)
+        draws = draw_run(config, 2, 0)
+        seed = experiment._realization_seed(config, 2, 0, experiment._STREAM_LOOP)
         for algorithm in ("nlms", "l0_nlms"):
-            got = run_single([draw_run(cell, rows, np.random.default_rng(4))], [cell], algorithm)[0][0]
+            got = run_single([draws], config, algorithm)[0][0]
             hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
-            expected = _naive_run(rows, nt, length, 10.0, iterations, hyper, seed=4)
+            expected = _naive_run(draws[0][0], nt, length, 10.0, iterations, hyper, seed=seed)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_identity_channel_passes_sample_through(self):
         # noiseless y(1) = s(1): a single NLMS step with mu=1 from the
         # all-zero cold start then recovers the channel up to NLMS_DELTA
-        config = ExperimentConfig(nt=1, nr=1, length=3, sparsity=(1,), iterations=5)
-        rows = np.array([[1.0, 0.0, 0.0]])
-        cell = config.cell(math.inf, 1.0, 1)
-        squared = run_single([draw_run(cell, rows, np.random.default_rng(0))], [cell], "nlms")[0][0]
+        config = ExperimentConfig(nt=1, nr=1, length=3, sparsity=(1,), snr_db=(math.inf,), mu=(1.0,),
+                                  iterations=5)
+        _, training, noise = draw_run(config, 1, 0)
+        squared = run_single([(np.array([[[1.0, 0.0, 0.0]]]), training, noise)], config, "nlms")[0][0]
         assert squared[0] == 1.0
         assert np.all(squared[1:] < 1e-20)
 
     def test_dimension_mismatch_rejected(self):
-        cell = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), iterations=5).cell(10.0, 0.5, 1)
+        config = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), snr_db=(10.0,), mu=(0.5,), iterations=5)
+        _, training, noise = draw_run(config, 1, 0)
         with pytest.raises(ValueError):
-            run_single([draw_run(cell, np.zeros((2, 2 * 4)), np.random.default_rng(0))], [cell], "nlms")
+            run_single([(np.zeros((1, 2, 2 * 4)), training, noise)], config, "nlms")
         with pytest.raises(ValueError):
-            run_single([draw_run(cell, np.zeros((3, 2 * 8)), np.random.default_rng(0))], [cell], "nlms")
+            run_single([(np.zeros((1, 3, 2 * 8)), training, noise)], config, "nlms")
