@@ -24,7 +24,6 @@ from .estimator import (
 )
 from .experiment import (
     CellKey,
-    DivergenceError,
     ExperimentConfig,
     GridResult,
     draw_run,
@@ -48,7 +47,6 @@ __all__ = [
     "nlms_update",
     "update",
     "CellKey",
-    "DivergenceError",
     "ExperimentConfig",
     "GridResult",
     "draw_run",

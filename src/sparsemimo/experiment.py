@@ -17,9 +17,9 @@ estimates of all those (realization, cell) pairs, each cell's noise scaled
 by its own SNR; only a lone pair updates its antennas one row at a time.
 The regressors, their energies, received samples and squared errors are
 computed a block of iterations at a time; only the update itself runs per
-iteration. A pair whose run diverges is dropped from that run alone; the
-other pairs are untouched by it and come out bit for bit as they would
-alone.
+iteration. A run's outcome is its squared errors and a mask of the pairs
+whose errors stayed finite: a pair whose run diverges is dropped from that
+run alone, and the other pairs come out bit for bit as they would alone.
 
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
@@ -45,7 +45,6 @@ __all__ = [
     "LAMBDA_LP_NOISE_RATIO",
     "LAMBDA_L0_NOISE_RATIO",
     "CellKey",
-    "DivergenceError",
     "ExperimentConfig",
     "GridResult",
     "draw_run",
@@ -64,10 +63,6 @@ BLOCK = 64  # iterations run_single advances per array block
 _STREAM_CHANNEL = 0
 _STREAM_LOOP = 1
 _GENERATOR_IDS = {kind: i for i, kind in enumerate(GENERATOR_KINDS)}
-
-
-class DivergenceError(RuntimeError):
-    """A run's squared error left the finite range; the run must be aborted."""
 
 
 class CellKey(NamedTuple):
@@ -272,7 +267,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
 
 
 def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: ExperimentConfig,
-               algorithm: str) -> list[list[np.ndarray | None]]:
+               algorithm: str) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive identification runs of ``algorithm``, one per realization and cell.
 
     ``draws`` lists realizations, each what :func:`draw_run` returns for one
@@ -281,15 +276,16 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     ``config.cell_keys()`` order; they leave the draws alone, so
     every cell reads every realization: each cell's noise is
     ``0.0 + std * z`` of the unit noise ``z``, bit for bit what
-    ``rng.normal(0.0, std, nr)`` gives. Returns, for each realization, each
-    cell's per-iteration squared error: entry 0 is the cold-start error of
-    the all-zero estimates; each later entry is recorded after that
-    iteration's update of every receive antenna's estimate. A
-    (realization, cell) pair whose squared error left the finite range gets
-    ``None``; once every pair's has, the call raises
-    :class:`DivergenceError`. Every pair comes out bit for bit as it does
-    alone. A subset of cells is ``dataclasses.replace(config, snr_db=...,
-    mu=...)``.
+    ``rng.normal(0.0, std, nr)`` gives; draws not of the config's shapes
+    raise ``ValueError``. Returns ``(squared, finite)``: the
+    ``(realizations, cells, iterations)`` squared errors, entry 0 the
+    cold-start error of the all-zero estimates and each later entry
+    recorded after that iteration's update of every receive antenna's
+    estimate, and the ``(realizations, cells)`` mask of the pairs whose
+    squared error stayed finite. A dead pair's rows are unspecified, and
+    once no pair is left the call stops. Every live pair comes out bit for
+    bit as it does alone. A subset of cells is
+    ``dataclasses.replace(config, snr_db=..., mu=...)``.
 
     The runs advance ``BLOCK`` iterations at a time. A block's regressors,
     their energies, received samples, squared errors and finiteness check
@@ -313,6 +309,9 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     count, taps = len(draws), nt * length
     lone = count * cells == 1
     channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
+    shapes = ((1 + (iterations - 1) // period, nr, taps), (iterations, nt), (iterations, nr))
+    if (channels.shape[1:], training.shape[1:], noise.shape[1:]) != shapes:
+        raise ValueError(f"draws must be channels, training and noise of shapes {shapes}")
     # the regressor of iteration n holds each antenna's samples n, n-1, ...,
     # n-L+1, zero before the start: a reversed window onto the padded stream
     padded = np.concatenate([np.zeros((count, length - 1, nt)), training], axis=1)
@@ -363,9 +362,9 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
             # run is useless for averaging
             finite &= np.isfinite(total).all(axis=0)
             if not finite.any():
-                raise DivergenceError(f"{algorithm} squared error left the finite range")
+                break
             estimates[0] = estimates[size]
-    return [[curve if ok else None for curve, ok in zip(curves, oks)] for curves, oks in zip(squared, finite)]
+    return squared, finite
 
 
 def steady_state_mse(trace: np.ndarray) -> float:
@@ -409,17 +408,10 @@ def _grid_task(args):
     config, run = args
     # a cell's K enters only through its draws, so one call serves every K
     draws = [draw_run(config, k, run) for k in config.sparsity]
-    pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
-    curves = []
-    for algorithm in config.algorithms:
-        try:
-            outcome = run_single(draws, config, algorithm)
-        except DivergenceError:
-            outcome = [[None] * len(pairs)] * len(draws)
-        for k, per_cell in zip(config.sparsity, outcome):
-            curves += [(CellKey(algorithm, snr, mu, k, config.nt, config.nr), curve)
-                       for (snr, mu), curve in zip(pairs, per_cell)]
-    return run, curves
+    squared, finite = zip(*(run_single(draws, config, algorithm) for algorithm in config.algorithms))
+    # stacked: (algorithm, K, SNR x mu, ...); cell_keys() orders algorithm, SNR, mu, K
+    return (np.stack(squared).swapaxes(1, 2).reshape(-1, config.iterations),
+            np.stack(finite).swapaxes(1, 2).reshape(-1))
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
@@ -428,9 +420,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     A task is one run index: every cell of that run shares its channel and
     draws at each K, so the task draws every K once with :func:`draw_run`
     and one :func:`run_single` call per algorithm advances all of them,
-    each K a realization. Results are bit-identical for a fixed master seed
-    regardless of ``workers``: every task is a pure function of the config,
-    and each cell's runs are summed in run order.
+    each K a realization, and returns the run's squared errors and survival
+    mask in ``cell_keys()`` order. Results are bit-identical for a fixed
+    master seed regardless of ``workers``: every task is a pure function of
+    the config, and each cell's surviving runs are summed in run order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -438,16 +431,14 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     tasks = [(config, run) for run in range(config.runs)]
 
     # 0.0 + x is x, so each sum holds exactly its runs added in run order
-    sums = {key: np.zeros(config.iterations) for key in keys}
-    diverged: dict[CellKey, list[int]] = {key: [] for key in keys}
+    sums = np.zeros((len(keys), config.iterations))
+    masks = []
 
     def collect(outcomes):
-        for run, curves in outcomes:
-            for key, squared in curves:
-                if squared is None:
-                    diverged[key].append(run)
-                else:
-                    sums[key] += squared
+        # map and pool.map both yield the tasks' results in run order
+        for squared, alive in outcomes:
+            np.add(sums, squared, out=sums, where=alive[:, None])
+            masks.append(alive)
 
     # a pool may start every worker up front, so it gets no more than tasks
     workers = min(workers, len(tasks))
@@ -460,12 +451,13 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
             chunk = max(1, len(tasks) // (8 * workers))
             collect(pool.map(_grid_task, tasks, chunksize=chunk))
 
-    traces: dict[CellKey, np.ndarray] = {}
-    for key in keys:
-        if len(diverged[key]) < config.runs:
-            # each run is finite, but their sum can still overflow
-            values = sums[key] / (config.runs - len(diverged[key]))
-            if not np.isfinite(values).all() or (values < 0).any():
-                raise ValueError("mean squared error must be finite and nonnegative")
-            traces[key] = values
+    finite = np.array(masks)  # (runs, cells)
+    survivors = finite.sum(axis=0)
+    live = survivors > 0
+    means = sums[live] / survivors[live, None]
+    # each run is finite, but their sum can still overflow
+    if not np.isfinite(means).all() or (means < 0).any():
+        raise ValueError("mean squared error must be finite and nonnegative")
+    traces = dict(zip([key for key, ok in zip(keys, live) if ok], means))
+    diverged = {key: np.flatnonzero(~alive).tolist() for key, alive in zip(keys, finite.T)}
     return GridResult(traces, diverged)

@@ -1,6 +1,7 @@
 """Tests for the adaptive update rules and their zero attractors."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sparsemimo.estimator import (
     nlms_update,
     update,
 )
-from sparsemimo.experiment import DivergenceError, ExperimentConfig, draw_run, run_single
+from sparsemimo.experiment import ExperimentConfig, draw_run, run_single
 
 
 def _vec(values):
@@ -373,13 +374,24 @@ class TestCommonUpdateContract:
             out_perm = update(hyper, h[perm], x[perm], e)
             assert np.allclose(out_perm, out[perm], atol=1e-12)
 
-    def test_divergence_message_names_algorithm(self):
+    def test_diverging_run_is_masked(self):
         # the rules return whatever they compute; the run's once-per-iteration
-        # squared-error guard reports the divergence and names the rule
+        # squared-error guard marks the pair dead
         config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), snr_db=(10.0,), mu=(1.0,),
                                   iterations=400)
-        with pytest.raises(DivergenceError, match="lms"):
-            run_single([draw_run(config, 1, 0)], config, "lms")
+        _, finite = run_single([draw_run(config, 1, 0)], config, "lms")
+        assert finite.tolist() == [[False]]
+
+    def test_dead_pair_leaves_its_neighbour_alone(self):
+        # seed-pinned: lms survives mu=0.005 and diverges at mu=1
+        config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), snr_db=(10.0,), mu=(0.005, 1.0),
+                                  iterations=400)
+        draws = [draw_run(config, 1, 0)]
+        squared, finite = run_single(draws, config, "lms")
+        assert finite.tolist() == [[True, False]]
+        alone, alone_finite = run_single(draws, replace(config, mu=(0.005,)), "lms")
+        assert alone_finite.tolist() == [[True]]
+        assert squared[0, 0].tobytes() == alone[0, 0].tobytes()
 
 
 class TestHyperParams:

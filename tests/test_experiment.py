@@ -13,7 +13,6 @@ from sparsemimo.experiment import (
     LAMBDA_L0_NOISE_RATIO,
     LAMBDA_LP_NOISE_RATIO,
     CellKey,
-    DivergenceError,
     ExperimentConfig,
     draw_run,
     first_iteration_below,
@@ -36,20 +35,28 @@ def _tiny_config(**overrides):
 def _mean_of(monkeypatch, *runs):
     """The curve of a one-cell grid whose runs return ``runs`` in order."""
     outputs = iter(runs)
-    monkeypatch.setattr(experiment, "run_single", lambda draws, config, algorithm: [[np.array(next(outputs))]])
+    monkeypatch.setattr(experiment, "run_single",
+                        lambda draws, config, algorithm: (np.array([[next(outputs)]]), np.array([[True]])))
     return run_grid(_tiny_config(runs=len(runs), iterations=len(runs[0])))[CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
+
+
+def _lone_curve(draws, config, algorithm="nlms"):
+    """The squared-error curve of one realization in one cell, which must survive."""
+    squared, finite = run_single([draws], config, algorithm)
+    assert squared.shape == (1, 1, config.iterations) and finite.tolist() == [[True]]
+    return squared[0, 0]
 
 
 class TestRunSingle:
     def test_cold_start_error_is_total_channel_energy(self):
         config = _tiny_config()
-        out = run_single([draw_run(config, 1, 0)], config, "nlms")[0][0]
+        out = _lone_curve(draw_run(config, 1, 0), config)
         assert out.shape == (50,)
         assert out[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_noiseless_identification_converges(self):
         config = _tiny_config(length=16, snr_db=(math.inf,), mu=(1.0,), iterations=2000)
-        out = run_single([draw_run(config, 1, 0)], config, "nlms")[0][0]
+        out = _lone_curve(draw_run(config, 1, 0), config)
         assert out[-1] < 1e-6
 
     def test_receive_antennas_do_not_interact(self):
@@ -58,19 +65,27 @@ class TestRunSingle:
         config = _tiny_config(snr_db=(math.inf,), iterations=300)
         channels, training, noise = draw_run(config, 1, 0)
         swapped = (channels[:, [1, 0]], training, noise)
-        a = run_single([(channels, training, noise)], config, "nlms")[0][0]
-        b = run_single([swapped], config, "nlms")[0][0]
+        a = _lone_curve((channels, training, noise), config)
+        b = _lone_curve(swapped, config)
         assert a.tobytes() == b.tobytes()
 
     def test_fading_redraws_channel(self):
         # the static run keeps the first channel and the same training and noise
         config = _tiny_config(iterations=400, fading_period=100)
         channels, training, noise = draw_run(config, 1, 0)
-        faded = run_single([(channels, training, noise)], config, "nlms")[0][0]
-        static = run_single([(channels[:1], training, noise)], replace(config, fading_period=None), "nlms")[0][0]
+        faded = _lone_curve((channels, training, noise), config)
+        static = _lone_curve((channels[:1], training, noise), replace(config, fading_period=None))
         assert np.isfinite(faded).all()
         # the redraw at iteration 100 bumps the error of the faded run
         assert faded[100] > static[100]
+
+    @pytest.mark.parametrize("overrides", [dict(nr=2), dict(iterations=40)])
+    def test_draws_that_do_not_fit_the_config_rejected(self, overrides):
+        # both would broadcast: one receive antenna's draws over two, or
+        # 50 iterations' draws cut to 40
+        config = _tiny_config(nr=1)
+        with pytest.raises(ValueError, match="shapes"):
+            run_single([draw_run(config, 1, 0)], replace(config, **overrides), "nlms")
 
     @pytest.mark.parametrize("overrides", [
         dict(algorithms=("lms",)), dict(snr_db=(0.0, 20.0)), dict(mu=(1.5,)), dict(lambda_lp=0.1),
@@ -311,10 +326,9 @@ class TestRunGrid:
             cell = replace(config, snr_db=(key.snr_db,), mu=(key.mu,))
             survivors = []
             for run in range(config.runs):
-                try:
-                    survivors.append(run_single([draw_run(config, key.k, run)], cell, key.algorithm)[0][0])
-                except DivergenceError:
-                    continue
+                squared, finite = run_single([draw_run(config, key.k, run)], cell, key.algorithm)
+                if finite[0, 0]:
+                    survivors.append(squared[0, 0])
             expected = np.mean(np.stack(survivors), axis=0)
             assert result[key].tobytes() == expected.tobytes(), key
         assert result.diverged[CellKey("lms", 10.0, 0.5, 1, 2, 2)] == [0]

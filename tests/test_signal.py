@@ -141,7 +141,9 @@ def _noise_only_run(snr_db, seed, iterations=20_000):
     config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), snr_db=(snr_db,), mu=(1.0,),
                               generator="bpsk", iterations=iterations, seed=seed)
     _, training, noise = draw_run(config, 1, 0)
-    return run_single([(np.zeros((1, 1, 1)), training, noise)], config, "nlms")[0][0]
+    squared, finite = run_single([(np.zeros((1, 1, 1)), training, noise)], config, "nlms")
+    assert finite.all()
+    return squared[0, 0]
 
 
 def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
@@ -187,7 +189,9 @@ class TestSystemOutput:
         draws = draw_run(config, 2, 0)
         seed = experiment._realization_seed(config, 2, 0, experiment._STREAM_LOOP)
         for algorithm in ("nlms", "l0_nlms"):
-            got = run_single([draws], config, algorithm)[0][0]
+            squared, finite = run_single([draws], config, algorithm)
+            assert finite.all()
+            got = squared[0, 0]
             hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
             expected = _naive_run(draws[0][0], nt, length, 10.0, iterations, hyper, seed=seed)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -198,9 +202,10 @@ class TestSystemOutput:
         config = ExperimentConfig(nt=1, nr=1, length=3, sparsity=(1,), snr_db=(math.inf,), mu=(1.0,),
                                   iterations=5)
         _, training, noise = draw_run(config, 1, 0)
-        squared = run_single([(np.array([[[1.0, 0.0, 0.0]]]), training, noise)], config, "nlms")[0][0]
-        assert squared[0] == 1.0
-        assert np.all(squared[1:] < 1e-20)
+        squared, finite = run_single([(np.array([[[1.0, 0.0, 0.0]]]), training, noise)], config, "nlms")
+        assert finite.all()
+        assert squared[0, 0, 0] == 1.0
+        assert np.all(squared[0, 0, 1:] < 1e-20)
 
     def test_dimension_mismatch_rejected(self):
         config = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), snr_db=(10.0,), mu=(0.5,), iterations=5)
