@@ -13,15 +13,7 @@ __version__ = "0.1.0"
 
 from .channel import assemble_mimo_channel
 from .signal import GENERATOR_KINDS, ofdm_time_samples, snr_to_variance
-from .estimator import (
-    ALGORITHMS,
-    HyperParams,
-    l0_nlms_update,
-    lms_update,
-    lp_nlms_update,
-    nlms_update,
-    update,
-)
+from .estimator import ALGORITHMS, HyperParams, update
 from .experiment import (
     CellKey,
     ExperimentConfig,
@@ -41,10 +33,6 @@ __all__ = [
     "ofdm_time_samples",
     "snr_to_variance",
     "HyperParams",
-    "l0_nlms_update",
-    "lms_update",
-    "lp_nlms_update",
-    "nlms_update",
     "update",
     "CellKey",
     "ExperimentConfig",

@@ -87,23 +87,11 @@ def _config_field(key: str) -> str:
     return "sparsity" if key == "k" else key
 
 
-def _parse_value(key: str, parse, text: str):
+def _parse_value(key: str, text: str):
     try:
-        return parse(text)
+        return _FIELDS[key][0](text)
     except ValueError:
         raise UsageError(f"{key}: could not parse {text!r}") from None
-
-
-def _argtype(key: str, parse):
-    # argparse rewrites ValueError into a generic message; ArgumentTypeError
-    # text is passed through verbatim, keeping the offending key visible
-    def convert(text: str):
-        try:
-            return _parse_value(key, parse, text)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo MSE learning curves for adaptive sparse MIMO channel estimation.",
     )
     parser.add_argument("--config", type=Path, help="flat key=value configuration file")
-    for key, (parse, text) in _FIELDS.items():
-        parser.add_argument("--" + key.replace("_", "-"), type=_argtype(key, parse), help=text)
+    for key, (_, text) in _FIELDS.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
     parser.add_argument("--out", type=Path, default=Path("results.csv"), help="output CSV path")
     parser.add_argument("--summary", action="store_true", help="print a per-cell text summary")
-    parser.add_argument("--workers", type=_argtype("workers", int), default=1,
+    parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes (results identical for any count)")
     parser.add_argument("--plot-script", dest="plot_script", type=Path,
                         help="also write a plotting script template for the CSV")
@@ -139,16 +127,16 @@ def _load_config_file(path: Path) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise UsageError(f"config: unknown key {key!r} at {path}:{lineno}")
-        values[_config_field(key)] = _parse_value(key, _FIELDS[key][0], value.strip())
+        values[_config_field(key)] = _parse_value(key, value.strip())
     return values
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = _load_config_file(args.config) if args.config else {}
     for key in _FIELDS:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[_config_field(key)] = flag_value
+        text = getattr(args, key)
+        if text is not None:
+            values[_config_field(key)] = _parse_value(key, text)
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:
@@ -350,6 +338,9 @@ def main(argv=None) -> int:
         config = _build_config(args)
         if args.workers < 1:
             raise UsageError("workers: must be at least 1")
+        if args.plot_script and args.plot_script.resolve() in (
+                args.out.resolve(), manifest_path_for(args.out).resolve()):
+            raise UsageError(f"plot-script: {args.plot_script} would overwrite the results")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

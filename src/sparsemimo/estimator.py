@@ -5,16 +5,16 @@ it takes the current estimate ``h``, the regressor ``x`` and the a-priori
 error ``e = y - h @ x`` and returns the next estimate. ``energy`` is the
 regressor energy ``x @ x``; a caller that holds it already, as a run does
 for a whole block of regressors at once, hands it in, and the normalized
-rules take it themselves otherwise. ``hyper.algorithm`` names the rule and
-:func:`update` dispatches on it. A rule broadcasts over leading batch axes:
-``h`` may be a ``(..., N)`` stack of estimates with ``e`` shaped
-``(..., 1)``, ``x`` and ``energy`` broadcasting against ``h`` and ``e``,
-and ``mu``/``lambda_lp``/``lambda_l0`` arrays that broadcast against
-``e``; each row then gets the bits it gets alone.
+rules take it themselves otherwise. ``hyper.algorithm`` names the rule;
+:func:`update`, the one public entry point, dispatches on it. A rule
+broadcasts over leading batch axes: ``h`` may be a ``(..., N)`` stack of
+estimates with ``e`` shaped ``(..., 1)``, ``x`` and ``energy`` broadcasting
+against ``h`` and ``e``, and ``mu``/``lambda_lp``/``lambda_l0`` arrays that
+broadcast against ``e``; each row then gets the bits it gets alone.
 
 * ``lms``      plain stochastic gradient,   h += mu * e * x
 * ``nlms``     step normalized by the regressor energy,
-               h += mu * e * x / (delta + x.x)
+               h += mu * e * x / (NLMS_DELTA + x.x)
 * ``lp_nlms``  NLMS minus a fractional-norm zero attractor scaled by
                rho_lp = mu * lambda_lp
 * ``l0_nlms``  NLMS minus a piecewise-linear attractor acting only on taps
@@ -44,10 +44,6 @@ __all__ = [
     "NLMS_DELTA",
     "HyperParams",
     "update",
-    "lms_update",
-    "nlms_update",
-    "lp_nlms_update",
-    "l0_nlms_update",
 ]
 
 ALGORITHMS = ("lms", "nlms", "lp_nlms", "l0_nlms")
@@ -90,13 +86,9 @@ def lms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
 
 
 def nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-                energy: float | np.ndarray | None = None, delta: float = NLMS_DELTA) -> np.ndarray:
+                energy: float | np.ndarray | None = None) -> np.ndarray:
     """Energy-normalized gradient step; scale-invariant in (x, y)."""
-    den = delta + (float(x @ x) if energy is None else energy)
-    if isinstance(den, float) and den == 0.0:
-        # all-zero regressor and no guard: nothing to learn from; a stack's
-        # energies come from a run, whose guard keeps every den positive
-        return h
+    den = NLMS_DELTA + (float(x @ x) if energy is None else energy)
     # the grouping is part of the pinned output: regrouping moves CSV bits
     return h + (hyper.mu * e / den) * x
 

@@ -115,12 +115,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("sparsity", "snr_db", "mu", "algorithms"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
+            value = tuple(getattr(self, name))
+            object.__setattr__(self, name, value)
             if len(set(value)) != len(value):
                 # a repeated value would add the same cell's runs twice
-                raise ValueError(f"{'k' if name == 'sparsity' else name}: duplicate values in {tuple(value)}")
+                raise ValueError(f"{'k' if name == 'sparsity' else name}: duplicate values in {value}")
         if self.nt < 1 or self.nr < 1:
             raise ValueError("nt/nr: antenna counts must be at least 1")
         if self.length < 1:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -120,6 +121,13 @@ class TestParseConfig:
         config = parse_config(["--config", str(path), "--runs", "3"])
         assert config.runs == 3
         assert config.snr_db == (5.0, 15.0)
+
+    def test_config_file_bad_value_fails_under_a_flag(self, tmp_path, capsys):
+        # file values are parsed when the file loads, even one a flag overrides
+        path = tmp_path / "run.cfg"
+        path.write_text("runs = many\n", encoding="utf-8")
+        assert main(["--config", str(path), "--runs", "3"]) == 1
+        assert "runs: could not parse 'many'" in capsys.readouterr().err
 
     def test_config_file_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -302,6 +310,20 @@ class TestMainAndManifest:
     def test_unknown_flag_exit_code(self, capsys):
         assert main(["--nope"]) == 1
 
+    def test_unparsable_workers_exit_code(self, capsys):
+        assert main(["--workers", "x"]) == 1
+        assert "--workers" in capsys.readouterr().err
+
+    def test_help_lists_every_field_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for key, (_, text) in cli._FIELDS.items():
+            flag = "--" + key.replace("_", "-")
+            assert re.search(rf"\n  {flag} \S+\s+{re.escape(text)}\n", out), key
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "res.csv"
         assert main(TINY_ARGS + ["--out", str(out)]) == 2
@@ -326,6 +348,14 @@ class TestMainAndManifest:
         text = script.read_text(encoding="utf-8")
         assert "avg_mse_db" in text
         assert str(out) in text
+
+    @pytest.mark.parametrize("target", [lambda out: out, manifest_path_for], ids=["csv", "manifest"])
+    def test_plot_script_may_not_overwrite_the_results(self, tmp_path, capsys, target):
+        out = tmp_path / "res.csv"
+        code = main(TINY_ARGS + ["--out", str(out), "--plot-script", str(target(out))])
+        assert code == 1
+        assert "plot-script" in capsys.readouterr().err
+        assert not out.exists() and not manifest_path_for(out).exists()
 
     def test_manifest_json_is_complete(self, tmp_path):
         out = tmp_path / "res.csv"

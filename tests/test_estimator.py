@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sparsemimo import estimator
 from sparsemimo.estimator import (
     ALGORITHMS,
     HyperParams,
@@ -60,14 +61,21 @@ class TestLms:
         assert not np.isfinite(h).all()
 
 
+@pytest.fixture
+def no_guard(monkeypatch):
+    # the exact NLMS identities hold only without the regularizer
+    monkeypatch.setattr(estimator, "NLMS_DELTA", 0.0)
+
+
 class TestNlms:
+    @pytest.mark.usefixtures("no_guard")
     def test_unit_step_nulls_a_posteriori_error(self):
         h = np.zeros(6)
         h[0] = 0.83
         est = np.zeros(6)
         x = _vec([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         y = float(h @ x)
-        out = nlms_update(HyperParams(mu=1.0), est, x, y - float(est @ x), delta=0.0)
+        out = nlms_update(HyperParams(mu=1.0), est, x, y - float(est @ x))
         assert y - float(out @ x) == 0.0
 
     def test_zero_error_is_fixpoint(self):
@@ -75,6 +83,7 @@ class TestNlms:
         out = nlms_update(HyperParams(), h, _vec([0.5, 0.25]), 0.0)
         assert out.tobytes() == h.tobytes()
 
+    @pytest.mark.usefixtures("no_guard")
     def test_a_posteriori_contraction_factor(self):
         # noiseless single sample: e_post = (1 - mu) * e_prior
         rng = np.random.default_rng(4)
@@ -83,11 +92,12 @@ class TestNlms:
             x = rng.standard_normal(8)
             y = float(h @ x)
             e = y - float(est @ x)
-            out = nlms_update(HyperParams(mu=mu), est, x, e, delta=0.0)
+            out = nlms_update(HyperParams(mu=mu), est, x, e)
             e_post = y - float(out @ x)
             assert e_post == pytest.approx((1.0 - mu) * e, abs=1e-12)
             assert abs(e_post) <= abs(e) + 1e-12
 
+    @pytest.mark.usefixtures("no_guard")
     def test_joint_scaling_invariance(self):
         rng = np.random.default_rng(6)
         h, est = rng.standard_normal(5), rng.standard_normal(5)
@@ -95,14 +105,9 @@ class TestNlms:
         hyper = HyperParams(mu=0.7)
         for c in (3.0, -0.02, 1e4):
             y, yc = float(h @ x), float(h @ (c * x))
-            base = nlms_update(hyper, est, x, y - float(est @ x), delta=0.0)
-            scaled = nlms_update(hyper, est, c * x, c * y - float(est @ (c * x)), delta=0.0)
+            base = nlms_update(hyper, est, x, y - float(est @ x))
+            scaled = nlms_update(hyper, est, c * x, c * y - float(est @ (c * x)))
             assert np.allclose(base, scaled, atol=1e-12)
-
-    def test_all_zero_regressor_without_guard_skips_update(self):
-        h = _vec([1.0, 2.0])
-        out = nlms_update(HyperParams(), h, np.zeros(2), 1.0, delta=0.0)
-        assert out is h
 
     def test_all_zero_regressor_with_guard_is_harmless(self):
         h = _vec([1.0, 2.0])

@@ -195,6 +195,7 @@ class TestConfigValidation:
         config = ExperimentConfig(sparsity=[1], snr_db=[10.0], mu=[0.5], algorithms=["nlms"])
         assert config.sparsity == (1,)
         assert config.algorithms == ("nlms",)
+        assert ExperimentConfig(mu=(m for m in (0.5, 1.0))).mu == (0.5, 1.0)
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -218,6 +219,7 @@ class TestConfigValidation:
             ({"lambda_l0": -1.0}, "lambda_l0"),
             ({"sparsity": (1, 1)}, "k"),
             ({"mu": (0.5, 1.0, 0.5)}, "mu"),
+            ({"mu": (m for m in (0.5, 1.0, 0.5))}, "mu"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
