@@ -12,16 +12,18 @@ tool for batch runs.
 __version__ = "0.1.0"
 
 from .channel import assemble_mimo_channel
-from .signal import GENERATOR_KINDS, ofdm_time_samples, snr_to_variance
 from .estimator import ALGORITHMS, HyperParams, update
 from .experiment import (
+    GENERATOR_KINDS,
     CellKey,
     ExperimentConfig,
     GridResult,
     draw_run,
     first_iteration_below,
+    ofdm_time_samples,
     run_grid,
     run_single,
+    snr_to_variance,
     steady_state_mse,
 )
 

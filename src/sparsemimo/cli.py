@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .estimator import ALGORITHMS
 from .experiment import (
+    GENERATOR_KINDS,
     CellKey,
     ExperimentConfig,
     GridResult,
@@ -22,7 +23,6 @@ from .experiment import (
     run_grid,
     steady_state_mse,
 )
-from .signal import GENERATOR_KINDS
 
 __all__ = [
     "CSV_HEADER",
@@ -276,7 +276,7 @@ class RunManifest:
 
 
 def _key_string(key: CellKey) -> str:
-    return f"algorithm={key.algorithm} snr_db={key.snr_db:g} mu={key.mu:g} k={key.k} nt={key.nt} nr={key.nr}"
+    return f"algorithm={key.algorithm} snr_db={_fmt(key.snr_db)} mu={_fmt(key.mu)} k={key.k} nt={key.nt} nr={key.nr}"
 
 
 def manifest_path_for(out_path) -> Path:
@@ -338,9 +338,11 @@ def main(argv=None) -> int:
         config = _build_config(args)
         if args.workers < 1:
             raise UsageError("workers: must be at least 1")
-        if args.plot_script and args.plot_script.resolve() in (
-                args.out.resolve(), manifest_path_for(args.out).resolve()):
-            raise UsageError(f"plot-script: {args.plot_script} would overwrite the results")
+        files = {}  # each file the run reads or writes -> the flag that names it
+        for flag, path in (("config", args.config), ("out", args.out), ("out", manifest_path_for(args.out)),
+                           ("plot-script", args.plot_script)):
+            if path is not None and files.setdefault(path.resolve(), flag) != flag:
+                raise UsageError(f"{flag}: {path} is also the {files[path.resolve()]} file")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,6 +6,8 @@ from the master seed and the data-relevant cell parameters only, so every
 algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
+The module also defines what a run draws: the training ``GENERATOR_KINDS``
+of :func:`draw_run`, and the SNR convention of :func:`snr_to_variance`.
 
 Because those realizations are shared, a run is drawn once per K: its
 channel epochs, training stream and unit-scale noise come from one pass
@@ -39,9 +41,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import assemble_mimo_channel
 from .estimator import ALGORITHMS, HyperParams, update
-from .signal import GENERATOR_KINDS, SUBCARRIERS, ofdm_time_samples, snr_to_variance
 
 __all__ = [
+    "GENERATOR_KINDS",
     "LAMBDA_LP_NOISE_RATIO",
     "LAMBDA_L0_NOISE_RATIO",
     "CellKey",
@@ -49,8 +51,10 @@ __all__ = [
     "GridResult",
     "draw_run",
     "first_iteration_below",
+    "ofdm_time_samples",
     "run_grid",
     "run_single",
+    "snr_to_variance",
     "steady_state_mse",
 ]
 
@@ -59,10 +63,11 @@ LAMBDA_LP_NOISE_RATIO = 1e-4
 LAMBDA_L0_NOISE_RATIO = 1e-3
 TAIL_FRACTION = 0.2  # final share of a trace that steady_state_mse averages
 BLOCK = 64  # iterations run_single advances per array block
+GENERATOR_KINDS = ("gaussian", "bpsk", "ofdm")
+SUBCARRIERS = 64
 
 _STREAM_CHANNEL = 0
 _STREAM_LOOP = 1
-_GENERATOR_IDS = {kind: i for i, kind in enumerate(GENERATOR_KINDS)}
 
 
 class CellKey(NamedTuple):
@@ -195,12 +200,29 @@ def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -
             config.nr,
             config.length,
             k,
-            _GENERATOR_IDS[config.generator],
+            GENERATOR_KINDS.index(config.generator),
             config.fading_period or 0,
             run,
             stream,
         )
     )
+
+
+def ofdm_time_samples(freq_symbols) -> np.ndarray:
+    """Unitary inverse DFT of blocks of frequency-domain symbols, along the last axis.
+
+    The 1/sqrt(C) scaling preserves total power (Parseval), so unit-power
+    frequency symbols yield unit average power in the time domain.
+    """
+    symbols = np.asarray(freq_symbols, dtype=np.complex128)
+    if symbols.ndim == 0 or symbols.shape[-1] == 0:
+        raise ValueError("freq_symbols must hold non-empty blocks along its last axis")
+    return np.fft.ifft(symbols, axis=-1) * math.sqrt(symbols.shape[-1])
+
+
+def snr_to_variance(snr_db: float) -> float:
+    """Noise power for a given SNR in dB at unit signal power; ``inf`` maps to the noiseless 0."""
+    return 1.0 / 10.0 ** (snr_db / 10.0)
 
 
 def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,7 +234,16 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     (``n % fading_period == 0``), one training sample per transmit antenna,
     and one unit-scale noise sample per receive antenna. Only the config's
     draw parameters are read: seed, antenna counts, L, iterations,
-    generator and fading period.
+    generator and fading period. A training sample is real, of one of the
+    ``GENERATOR_KINDS``:
+
+    * ``gaussian`` -- zero-mean unit-power normal samples (default).
+    * ``bpsk``     -- equiprobable +/-1.
+    * ``ofdm``     -- real parts of unitary-IDFT time samples of random
+      unit-modulus QPSK symbols on ``SUBCARRIERS`` subcarriers, one block
+      per ``SUBCARRIERS`` iterations, consumed in time order. The real
+      part carries half of the complex power, so it is scaled by sqrt(2)
+      to unit power like the other kinds.
 
     Returns ``(channels, training, noise)``: the channel epochs as an
     ``(epochs, nr, nt * L)`` array, epoch ``e`` in force from iteration

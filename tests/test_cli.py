@@ -314,6 +314,10 @@ class TestMainAndManifest:
         assert main(["--workers", "x"]) == 1
         assert "--workers" in capsys.readouterr().err
 
+    def test_zero_workers_exit_code(self, capsys):
+        assert main(["--workers", "0"]) == 1
+        assert "workers" in capsys.readouterr().err
+
     def test_help_lists_every_field_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped
         with pytest.raises(SystemExit) as exc:
@@ -357,6 +361,17 @@ class TestMainAndManifest:
         assert "plot-script" in capsys.readouterr().err
         assert not out.exists() and not manifest_path_for(out).exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    def test_outputs_may_not_overwrite_the_config_file(self, tmp_path, capsys, flag):
+        config = tmp_path / "run.cfg"
+        config.write_text("runs = 2\niterations = 40\nlength = 8\nsnr_db = 10\nmu = 0.5\nk = 1\n",
+                          encoding="utf-8")
+        out = tmp_path / "res.csv"
+        assert main(["--config", str(config), "--out", str(out), flag, str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]}: {config} is also the config file\n"
+        assert config.read_text(encoding="utf-8").startswith("runs = 2\n")
+        assert not out.exists() and not manifest_path_for(out).exists()
+
     def test_manifest_json_is_complete(self, tmp_path):
         out = tmp_path / "res.csv"
         main(TINY_ARGS + ["--out", str(out)])
@@ -377,13 +392,25 @@ class TestMainAndManifest:
         ]
         assert main(args) == 0
         counts = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["divergence_counts"]
-        cell = "snr_db=10 mu={mu} k=1 nt=2 nr=2"
+        cell = "snr_db=10.0 mu={mu} k=1 nt=2 nr=2"
         assert counts == {
             "algorithm=lms " + cell.format(mu="0.5"): 1,
-            "algorithm=lms " + cell.format(mu="1"): 4,
+            "algorithm=lms " + cell.format(mu="1.0"): 4,
             "algorithm=nlms " + cell.format(mu="0.5"): 0,
-            "algorithm=nlms " + cell.format(mu="1"): 0,
+            "algorithm=nlms " + cell.format(mu="1.0"): 0,
         }
+
+    def test_divergence_counts_keep_cells_that_agree_to_six_digits(self, tmp_path):
+        # the keys write floats as the CSV does, so nearby step sizes stay apart
+        out = tmp_path / "res.csv"
+        args = [
+            "--runs", "1", "--iterations", "20", "--algorithms", "nlms",
+            "--snr-db", "10", "--k", "1", "--mu", "0.1234567,0.1234568", "--out", str(out),
+        ]
+        assert main(args) == 0
+        counts = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["divergence_counts"]
+        cell = "algorithm=nlms snr_db=10.0 mu={mu} k=1 nt=2 nr=2"
+        assert counts == {cell.format(mu="0.1234567"): 0, cell.format(mu="0.1234568"): 0}
 
     def test_divergence_warnings_in_cell_order(self, tmp_path, capsys):
         # lms at mu=1 and mu=1.5 loses every run (seed-pinned); each fully
@@ -394,5 +421,5 @@ class TestMainAndManifest:
             "--algorithms", "lms,nlms", "--seed", "3", "--out", str(tmp_path / "res.csv"),
         ]
         assert main(args) == 0
-        cell = "warning: algorithm=lms snr_db=10 mu={mu} k=1 nt=2 nr=2: all 4 runs diverged"
-        assert capsys.readouterr().err.splitlines() == [cell.format(mu="1"), cell.format(mu="1.5")]
+        cell = "warning: algorithm=lms snr_db=10.0 mu={mu} k=1 nt=2 nr=2: all 4 runs diverged"
+        assert capsys.readouterr().err.splitlines() == [cell.format(mu="1.0"), cell.format(mu="1.5")]

@@ -18,9 +18,9 @@ from sparsemimo.experiment import (
     first_iteration_below,
     run_grid,
     run_single,
+    snr_to_variance,
     steady_state_mse,
 )
-from sparsemimo.signal import snr_to_variance
 
 
 def _tiny_config(**overrides):
@@ -220,6 +220,12 @@ class TestConfigValidation:
             ({"sparsity": (1, 1)}, "k"),
             ({"mu": (0.5, 1.0, 0.5)}, "mu"),
             ({"mu": (m for m in (0.5, 1.0, 0.5))}, "mu"),
+            ({"sparsity": ()}, "k"),
+            ({"snr_db": ()}, "snr_db"),
+            ({"mu": ()}, "mu"),
+            ({"algorithms": ()}, "algorithms"),
+            ({"snr_db": (math.nan,)}, "snr_db"),
+            ({"snr_db": (-math.inf,)}, "snr_db"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):

@@ -1,5 +1,7 @@
 """Tests for the package's public surface."""
 
+import pkgutil
+
 import sparsemimo
 
 PUBLIC = {
@@ -32,3 +34,10 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in sparsemimo.__all__:
         assert getattr(sparsemimo, name) is not None, name
+
+
+def test_submodules_are_pinned():
+    # one module per layer: the training kinds, OFDM format and SNR
+    # convention live in experiment, next to the draws that use them
+    names = {module.name for module in pkgutil.iter_modules(sparsemimo.__path__)}
+    assert names == {"channel", "cli", "estimator", "experiment"}

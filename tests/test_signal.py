@@ -8,11 +8,13 @@ import pytest
 from sparsemimo import experiment
 from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.estimator import HyperParams, update
-from sparsemimo.experiment import ExperimentConfig, draw_run, run_single
-from sparsemimo.signal import (
+from sparsemimo.experiment import (
     GENERATOR_KINDS,
     SUBCARRIERS,
+    ExperimentConfig,
+    draw_run,
     ofdm_time_samples,
+    run_single,
     snr_to_variance,
 )
 
