@@ -189,11 +189,7 @@ def _ss_db(trace: np.ndarray) -> float:
 
 
 def _tie(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return False
-    return abs(a - b) < 0.1
+    return a == b or abs(a - b) < 0.1
 
 
 def emit_summary(traces) -> str:
@@ -346,6 +342,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for path in filter(None, (args.out, args.plot_script)):  # found now, not after the whole grid
+        if path.is_dir() or not path.parent.is_dir():
+            where = f"{path} is a directory" if path.is_dir() else f"{path.parent} is not a directory"
+            print(f"error: cannot write results: {where}", file=sys.stderr)
+            return EXIT_IO
 
     started = _utc_now()
     result = run_grid(config, workers=args.workers)

@@ -26,13 +26,12 @@ run alone, and the other pairs come out bit for bit as they would alone.
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
 added to their cell's running sum in run order as they arrive, so the grid
-holds one array per cell, not one per run. :class:`GridResult` maps each
-:class:`CellKey` to its curve; a cell whose every run diverged has none.
+holds one array per cell, not one per run. :class:`GridResult` is a dict
+of each :class:`CellKey` to its curve; a cell whose runs all diverged has none.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -122,30 +121,25 @@ class ExperimentConfig:
         for name in ("sparsity", "snr_db", "mu", "algorithms"):
             value = tuple(getattr(self, name))
             object.__setattr__(self, name, value)
+            key = "k" if name == "sparsity" else name
+            if not value:
+                raise ValueError(f"{key}: at least one value is required")
             if len(set(value)) != len(value):
                 # a repeated value would add the same cell's runs twice
-                raise ValueError(f"{'k' if name == 'sparsity' else name}: duplicate values in {value}")
+                raise ValueError(f"{key}: duplicate values in {value}")
         if self.nt < 1 or self.nr < 1:
             raise ValueError("nt/nr: antenna counts must be at least 1")
         if self.length < 1:
             raise ValueError("length: tap count must be at least 1")
-        if not self.sparsity:
-            raise ValueError("k: at least one sparsity value is required")
         for k in self.sparsity:
             if not 1 <= k <= self.length:
                 raise ValueError(f"k: sparsity must lie in [1, {self.length}], got {k}")
-        if not self.snr_db:
-            raise ValueError("snr_db: at least one SNR is required")
         for snr in self.snr_db:
             if math.isnan(snr) or snr == -math.inf:
                 raise ValueError(f"snr_db: {snr} is not a valid SNR (use inf for noiseless)")
-        if not self.mu:
-            raise ValueError("mu: at least one step size is required")
         for m in self.mu:
             if not 0 < m < 2:
                 raise ValueError(f"mu: step sizes must lie in (0, 2), got {m}")
-        if not self.algorithms:
-            raise ValueError("algorithms: at least one algorithm is required")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"algorithms: unknown algorithm {a!r}; expected one of {ALGORITHMS}")
@@ -159,14 +153,14 @@ class ExperimentConfig:
             raise ValueError(f"generator: unknown kind {self.generator!r}; expected one of {GENERATOR_KINDS}")
         for name in ("lambda_lp", "lambda_l0"):
             lam = getattr(self, name)
-            if lam is not None and lam < 0:
-                raise ValueError(f"{name}: must be nonnegative, got {lam}")
+            if lam is not None and not 0 <= lam < math.inf:
+                raise ValueError(f"{name}: must be finite and nonnegative, got {lam}")
         if not 0 < self.p <= 1:
             raise ValueError(f"p: must lie in (0, 1], got {self.p}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon: must be positive, got {self.epsilon}")
-        if self.beta <= 0:
-            raise ValueError(f"beta: must be positive, got {self.beta}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon: must be finite and positive, got {self.epsilon}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta: must be finite and positive, got {self.beta}")
         if self.fading_period is not None and self.fading_period < 1:
             raise ValueError("fading_period: must be at least 1 when set")
 
@@ -409,29 +403,17 @@ def first_iteration_below(trace: np.ndarray, level: float) -> int:
     return int(hits[0]) if hits.size else trace.size
 
 
-class GridResult(Mapping):
+class GridResult(dict):
     """Mean-MSE arrays keyed by :class:`CellKey`, plus the dropped runs.
 
-    Behaves as a read-only mapping of the cells with a surviving run.
+    A dict of the cells with a surviving run, in ``cell_keys()`` order.
     ``diverged`` maps every cell to the indices of its dropped runs; a cell
-    is missing from the mapping exactly when it dropped all of its runs.
+    is missing from the dict exactly when it dropped all of its runs.
     """
 
-    def __init__(self, traces: Mapping[CellKey, np.ndarray], diverged: Mapping[CellKey, list[int]]):
-        self._traces = dict(traces)
-        self.diverged = dict(diverged)
-
-    def __getitem__(self, key: CellKey) -> np.ndarray:
-        return self._traces[key]
-
-    def __iter__(self):
-        return iter(self._traces)
-
-    def __len__(self) -> int:
-        return len(self._traces)
-
-    def __repr__(self) -> str:
-        return f"GridResult({len(self._traces)} cells, {len(self.diverged) - len(self._traces)} failed)"
+    def __init__(self, traces: dict[CellKey, np.ndarray], diverged: dict[CellKey, list[int]]):
+        dict.__init__(self, traces)
+        self.diverged = diverged
 
 
 def _grid_task(args):

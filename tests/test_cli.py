@@ -257,6 +257,12 @@ class TestEmitSummary:
         text = emit_summary(traces)
         assert "~" in text.split("verdict:")[1].splitlines()[0]
 
+    def test_zero_mse_ties_with_zero_and_ranks_first(self):
+        # a noiseless run can reach zero MSE, whose steady state is -inf dB
+        zero, small = _trace([1.0] + [0.0] * 9), _trace([1e-2] * 10)
+        assert "verdict: l0_nlms ~ nlms\n" in emit_summary({_key("nlms"): zero, _key("l0_nlms"): zero})
+        assert "verdict: nlms < l0_nlms\n" in emit_summary({_key("nlms"): zero, _key("l0_nlms"): small})
+
     def test_sparsity_spread_reported(self):
         traces = {
             _key("nlms", k=1): _trace([1e-2] * 10),
@@ -332,6 +338,40 @@ class TestMainAndManifest:
         out = tmp_path / "missing-dir" / "res.csv"
         assert main(TINY_ARGS + ["--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    @pytest.mark.parametrize("name, named, cause", [("missing-dir/res.txt", "missing-dir", "is not a directory"),
+                                                     (".", ".", "is a directory")], ids=["missing-parent", "directory"])
+    def test_unwritable_output_refused_before_the_grid_runs(self, tmp_path, capsys, monkeypatch, flag, name, named,
+                                                            cause):
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv"), flag, str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write results: {tmp_path / named} {cause}\n"
+
+    def test_write_failure_after_the_grid_exit_code(self, tmp_path, capsys, monkeypatch):
+        def refuse(traces, path):
+            raise PermissionError(f"cannot open {path}")
+
+        monkeypatch.setattr(cli, "emit_csv", refuse)
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write results: cannot open ")
+
+    def test_non_finite_knob_refused_before_the_grid_runs(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert main(TINY_ARGS + ["--algorithms", "l0_nlms", "--beta", "nan", "--out", str(out)]) == 1
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point_writes_the_csv(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = tmp_path / "res.csv"
+        done = subprocess.run([sys.executable, "-m", "sparsemimo.cli", "--runs", "1", "--iterations", "5",
+                               "--out", str(out)], env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + 5 * len(ExperimentConfig().cell_keys())
 
     def test_all_diverged_exit_code(self, tmp_path, capsys):
         args = [

@@ -226,6 +226,8 @@ class TestConfigValidation:
             ({"algorithms": ()}, "algorithms"),
             ({"snr_db": (math.nan,)}, "snr_db"),
             ({"snr_db": (-math.inf,)}, "snr_db"),
+            *[({key: value}, key) for key in ("lambda_lp", "lambda_l0", "epsilon", "beta")
+              for value in (math.nan, math.inf)],
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
@@ -254,6 +256,11 @@ class TestRunGrid:
         key = next(iter(result))
         assert key == CellKey("nlms", 10.0, 0.5, 1, 2, 2)
         assert len(result[key]) == 50
+
+    def test_result_is_a_dict(self):
+        result = run_grid(_tiny_config(algorithms=("nlms", "l0_nlms")))
+        assert isinstance(result, dict)
+        assert list(result) == [CellKey(a, 10.0, 0.5, 1, 2, 2) for a in ("nlms", "l0_nlms")]
 
     def test_same_seed_is_bit_identical(self):
         config = _tiny_config(algorithms=("nlms", "l0_nlms"))
