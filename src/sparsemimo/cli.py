@@ -116,7 +116,7 @@ def _load_config_file(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"config: cannot read {path}: {exc}") from None
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,6 +127,9 @@ def _load_config_file(path: Path) -> dict:
         key = key.strip()
         if key not in _FIELDS:
             raise UsageError(f"config: unknown key {key!r} at {path}:{lineno}")
+        if key in lines:
+            raise UsageError(f"config: key {key!r} repeated at {path}:{lines[key]} and {path}:{lineno}")
+        lines[key] = lineno
         values[_config_field(key)] = _parse_value(key, value.strip())
     return values
 

@@ -1,12 +1,11 @@
 """Adaptive update rules for identifying one MISO channel row.
 
-Each rule is a pure array function ``rule(hyper, h, x, e, energy=None) -> h``:
-it takes the current estimate ``h``, the regressor ``x`` and the a-priori
-error ``e = y - h @ x`` and returns the next estimate. ``energy`` is the
-regressor energy ``x @ x``; a caller that holds it already, as a run does
-for a whole block of regressors at once, hands it in, and the normalized
-rules take it themselves otherwise. ``hyper.algorithm`` names the rule;
-:func:`update`, the one public entry point, dispatches on it. A rule
+The rules are one pure array function, ``update(hyper, h, x, e, energy) -> h``:
+it takes the current estimate ``h``, the regressor ``x``, the a-priori
+error ``e = y - h @ x`` and the regressor energy ``energy = x @ x``, and
+returns the next estimate. ``hyper.algorithm`` picks the rule, one branch
+each; ``lms`` ignores ``energy``. A run holds the energies of a whole block
+of regressors at once, so the caller always hands one in. The rule
 broadcasts over leading batch axes: ``h`` may be a ``(..., N)`` stack of
 estimates with ``e`` shaped ``(..., 1)``, ``x`` and ``energy`` broadcasting
 against ``h`` and ``e``, and ``mu``/``lambda_lp``/``lambda_l0`` arrays that
@@ -27,7 +26,7 @@ smooth exponential attractor (the exact penalty gradient that the
 piecewise rule approximates), its penalty and the one-row Lp norm live in
 the tests, as oracles.
 
-Neither :class:`HyperParams`, the rules nor the attractors they call
+Neither :class:`HyperParams`, :func:`update` nor the attractors it calls
 validate the knobs or check the result for finiteness: ``ExperimentConfig``
 validates the knobs once, and a run checks its squared errors once per
 block of iterations.
@@ -80,19 +79,6 @@ class HyperParams:
         return self.mu * self.lambda_l0
 
 
-def lms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-               energy: float | np.ndarray | None = None) -> np.ndarray:
-    return h + hyper.mu * e * x
-
-
-def nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-                energy: float | np.ndarray | None = None) -> np.ndarray:
-    """Energy-normalized gradient step; scale-invariant in (x, y)."""
-    den = NLMS_DELTA + (float(x @ x) if energy is None else energy)
-    # the grouping is part of the pinned output: regrouping moves CSV bits
-    return h + (hyper.mu * e / den) * x
-
-
 def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     """Zero-attractor of the fractional-norm penalty, evaluated elementwise.
 
@@ -109,12 +95,6 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     return scale * np.sign(h) / (epsilon + magnitude ** (1.0 - p))
 
 
-def lp_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-                   energy: float | np.ndarray | None = None) -> np.ndarray:
-    """NLMS step minus rho_lp times the fractional-norm attractor."""
-    return nlms_update(hyper, h, x, e, energy) - hyper.rho_lp * lp_attractor(h, hyper.p, hyper.epsilon)
-
-
 def j_attractor(h, beta: float) -> np.ndarray:
     """First-order approximation of twice the exponential attractor.
 
@@ -127,27 +107,18 @@ def j_attractor(h, beta: float) -> np.ndarray:
     return np.where(inside, 2.0 * beta * np.sign(h) - 2.0 * beta**2 * h, 0.0)
 
 
-def l0_nlms_update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-                   energy: float | np.ndarray | None = None) -> np.ndarray:
-    """NLMS step minus rho_l0 times the banded attractor."""
-    return nlms_update(hyper, h, x, e, energy) - hyper.rho_l0 * j_attractor(h, hyper.beta)
-
-
-_UPDATES = {
-    "lms": lms_update,
-    "nlms": nlms_update,
-    "lp_nlms": lp_nlms_update,
-    "l0_nlms": l0_nlms_update,
-}
-
-
 def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-           energy: float | np.ndarray | None = None) -> np.ndarray:
-    """Apply the rule ``hyper.algorithm`` names; the common entry point."""
-    try:
-        rule = _UPDATES[hyper.algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {hyper.algorithm!r}; expected one of {ALGORITHMS}"
-        ) from None
-    return rule(hyper, h, x, e, energy)
+           energy: float | np.ndarray) -> np.ndarray:
+    """The next estimate under the rule ``hyper.algorithm`` names; ``ValueError`` for another name."""
+    algorithm = hyper.algorithm
+    if algorithm == "lms":
+        return h + hyper.mu * e * x
+    # the grouping is part of the pinned output: regrouping moves CSV bits
+    step = h + (hyper.mu * e / (NLMS_DELTA + energy)) * x
+    if algorithm == "nlms":
+        return step
+    if algorithm == "lp_nlms":
+        return step - hyper.rho_lp * lp_attractor(h, hyper.p, hyper.epsilon)
+    if algorithm == "l0_nlms":
+        return step - hyper.rho_l0 * j_attractor(h, hyper.beta)
+    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -32,7 +32,7 @@ of each :class:`CellKey` to its curve; a cell whose runs all diverged has none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -164,16 +164,6 @@ class ExperimentConfig:
         if self.fading_period is not None and self.fading_period < 1:
             raise ValueError("fading_period: must be at least 1 when set")
 
-    def hyper_for(self, snr_db: float, mu: float) -> HyperParams:
-        """Resolve the regularizer weights for one cell's noise power."""
-        variance = snr_to_variance(snr_db)
-        lam_lp = self.lambda_lp if self.lambda_lp is not None else LAMBDA_LP_NOISE_RATIO * variance
-        lam_l0 = self.lambda_l0 if self.lambda_l0 is not None else LAMBDA_L0_NOISE_RATIO * variance
-        return HyperParams(
-            mu=mu, lambda_lp=lam_lp, lambda_l0=lam_l0,
-            p=self.p, epsilon=self.epsilon, beta=self.beta,
-        )
-
     def cell_keys(self) -> list[CellKey]:
         return [
             CellKey(a, s, m, k, self.nt, self.nr)
@@ -301,7 +291,9 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     every cell reads every realization: each cell's noise is
     ``0.0 + std * z`` of the unit noise ``z``, bit for bit what
     ``rng.normal(0.0, std, nr)`` gives; draws not of the config's shapes
-    raise ``ValueError``. Returns ``(squared, finite)``: the
+    raise ``ValueError``. A cell's rule takes the config's knobs, its step
+    size, and for an unset regularizer weight ``LAMBDA_*_NOISE_RATIO``
+    times its noise variance. Returns ``(squared, finite)``: the
     ``(realizations, cells, iterations)`` squared errors, entry 0 the
     cold-start error of the all-zero estimates and each later entry
     recorded after that iteration's update of every receive antenna's
@@ -320,16 +312,20 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
     period = config.fading_period or iterations
     pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
-    hypers = [config.hyper_for(snr, mu) for snr, mu in pairs]
     cells = len(pairs)
+    # each cell's knobs on Python floats, as numpy's array ** can round
+    # differently; an unset weight scales with the cell's noise power
+    variances = [snr_to_variance(snr) for snr, _ in pairs]
+    knobs = {"mu": [mu for _, mu in pairs]}
+    for name, ratio in (("lambda_lp", LAMBDA_LP_NOISE_RATIO), ("lambda_l0", LAMBDA_L0_NOISE_RATIO)):
+        weight = getattr(config, name)
+        knobs[name] = [ratio * v if weight is None else weight for v in variances]
     # a knob that differs between cells becomes a (cells, 1) column, which
     # the rule broadcasts; a shared one stays a float, which is cheaper
-    knobs = {}
-    for name in ("mu", "lambda_lp", "lambda_l0"):
-        values = [getattr(h, name) for h in hypers]
-        knobs[name] = values[0] if len(set(values)) == 1 else np.array(values)[:, None]
-    hyper = replace(hypers[0], algorithm=algorithm, **knobs)
-    stds = np.array([math.sqrt(snr_to_variance(snr)) for snr, _ in pairs])
+    knobs = {name: values[0] if len(set(values)) == 1 else np.array(values)[:, None]
+             for name, values in knobs.items()}
+    hyper = HyperParams(algorithm, p=config.p, epsilon=config.epsilon, beta=config.beta, **knobs)
+    stds = np.array([math.sqrt(v) for v in variances])
     count, taps = len(draws), nt * length
     lone = count * cells == 1
     channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))

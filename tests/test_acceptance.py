@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from sparsemimo.cli import main, manifest_path_for
-from sparsemimo.estimator import (
-    HyperParams,
-    j_attractor,
-    l0_nlms_update,
-)
+from sparsemimo.estimator import HyperParams, update
 from sparsemimo.experiment import (
     CellKey,
     ExperimentConfig,
@@ -172,7 +168,8 @@ def test_criterion_7_zero_attraction_and_cutoff():
         rho = rng.uniform(0.1, 0.999) * min(1.0, float(bounds.min()))
         mu = 0.5
         hyper = HyperParams("l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
-        out = l0_nlms_update(hyper, h.copy(), np.ones(8), 0.0)
+        x = np.ones(8)
+        out = update(hyper, h.copy(), x, 0.0, float(x @ x))
         for i in range(h.size):
             if abs(h[i]) > 1.0 / beta:
                 ok = ok and out[i] == h[i]

@@ -135,6 +135,14 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="stepsize"):
             parse_config(["--config", str(path)])
 
+    def test_config_file_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("runs = 100\n# smaller\nseed = 4\nruns = 2\n", encoding="utf-8")
+        with pytest.raises(UsageError, match=r"'runs' repeated at .*run\.cfg:1 and .*run\.cfg:4"):
+            parse_config(["--config", str(path)])
+        # a repeated flag keeps argparse's last value
+        assert parse_config(["--runs", "100", "--runs", "2"]).runs == 2
+
     def test_config_file_missing(self, tmp_path):
         with pytest.raises(UsageError):
             parse_config(["--config", str(tmp_path / "absent.cfg")])

@@ -144,6 +144,34 @@ class TestRunSingle:
         assert len(result) == 1
         assert peak < 8 * 2**20
 
+    def test_each_cell_gets_its_knobs(self, monkeypatch):
+        # per cell, SNR outer: the step size, and each regularizer weight as
+        # set or else its noise ratio times the cell's noise variance; every
+        # knob is compared as a (cells, 1) column, which a float broadcasts to
+        seen, rule = [], experiment.update
+
+        def recording(hyper, *args):
+            seen.append(hyper)
+            return rule(hyper, *args)
+
+        monkeypatch.setattr(experiment, "update", recording)
+        snrs, mus = (5.0, 10.0, 15.0), (0.5, 1.0)
+        cells = len(snrs) * len(mus)
+        variances = [snr_to_variance(snr) for snr in snrs for _ in mus]
+        default = ([LAMBDA_LP_NOISE_RATIO * v for v in variances], [LAMBDA_L0_NOISE_RATIO * v for v in variances])
+        for overrides, (lam_lp, lam_l0) in (({}, default),
+                                            ({"lambda_lp": 1e-7, "lambda_l0": 2e-7}, ([1e-7] * cells, [2e-7] * cells))):
+            config = _tiny_config(snr_db=snrs, mu=mus, iterations=5, p=0.3, epsilon=0.05, beta=9.0, **overrides)
+            seen.clear()
+            run_single([draw_run(config, 1, 0)], config, "l0_nlms")
+            assert len(seen) == config.iterations - 1
+            expected = {"mu": [m for _ in snrs for m in mus], "lambda_lp": lam_lp, "lambda_l0": lam_l0}
+            for hyper in seen:
+                assert (hyper.algorithm, hyper.p, hyper.epsilon, hyper.beta) == ("l0_nlms", 0.3, 0.05, 9.0)
+                for name, values in expected.items():
+                    got = np.broadcast_to(getattr(hyper, name), (cells, 1))
+                    assert got.tobytes() == np.array(values)[:, None].tobytes(), (overrides, name)
+
 
 class TestAverageMse:
     def test_single_run_is_identity(self, monkeypatch):
@@ -228,24 +256,16 @@ class TestConfigValidation:
             ({"snr_db": (-math.inf,)}, "snr_db"),
             *[({key: value}, key) for key in ("lambda_lp", "lambda_l0", "epsilon", "beta")
               for value in (math.nan, math.inf)],
+            ({"mu": (-0.1,)}, "mu"),
+            ({"lambda_lp": -1e-9}, "lambda_lp"),
+            ({"lambda_l0": -1e-9}, "lambda_l0"),
+            ({"p": 0.0}, "p"),
+            ({"epsilon": -0.01}, "epsilon"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**overrides)
-
-    def test_lambda_defaults_scale_with_noise_power(self):
-        config = ExperimentConfig()
-        hyper = config.hyper_for(10.0, 0.5)
-        variance = snr_to_variance(10.0)
-        assert hyper.lambda_lp == pytest.approx(LAMBDA_LP_NOISE_RATIO * variance)
-        assert hyper.lambda_l0 == pytest.approx(LAMBDA_L0_NOISE_RATIO * variance)
-
-    def test_explicit_lambda_overrides_rule(self):
-        config = ExperimentConfig(lambda_lp=1e-7, lambda_l0=2e-7)
-        hyper = config.hyper_for(5.0, 0.5)
-        assert hyper.lambda_lp == 1e-7
-        assert hyper.lambda_l0 == 2e-7
 
 
 class TestRunGrid:

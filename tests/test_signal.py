@@ -177,7 +177,7 @@ def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
                 for l in range(min(length, n + 1)):
                     y += rows[r, t * length + l] * history[n - l][t]
             h = estimates[r]
-            estimates[r] = update(hyper, h, x, y - float(h @ x))
+            estimates[r] = update(hyper, h, x, y - float(h @ x), float(x @ x))
             total += float(np.sum((rows[r] - estimates[r]) ** 2))
         squared.append(total)
     return np.array(squared)
