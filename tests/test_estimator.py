@@ -387,3 +387,23 @@ class TestHyperParams:
         hyper = HyperParams(mu=0.5, lambda_lp=2e-4, lambda_l0=3e-3)
         assert hyper.rho_lp == pytest.approx(1e-4)
         assert hyper.rho_l0 == pytest.approx(1.5e-3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mu": 0.0},
+            {"mu": -0.1},
+            {"lambda_lp": -1e-9},
+            {"lambda_l0": -1e-9},
+            {"p": 0.0},
+            {"p": 1.5},
+            {"epsilon": -0.01},
+            {"beta": 0.0},
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        # HyperParams does not validate: every knob reaches it through
+        # ExperimentConfig, which must refuse each value no rule can take
+        config = {name: (value,) if name == "mu" else value for name, value in kwargs.items()}
+        with pytest.raises(ValueError):
+            ExperimentConfig(**config)

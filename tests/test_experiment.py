@@ -47,6 +47,19 @@ def _lone_curve(draws, config, algorithm="nlms"):
     return squared[0, 0]
 
 
+def _knobs_seen(monkeypatch, config):
+    """The knobs ``run_single`` hands the rule, one per update, for one l0_nlms run."""
+    seen, rule = [], experiment.update
+
+    def recording(hyper, *args):
+        seen.append(hyper)
+        return rule(hyper, *args)
+
+    monkeypatch.setattr(experiment, "update", recording)
+    run_single([draw_run(config, 1, 0)], config, "l0_nlms")
+    return seen
+
+
 class TestRunSingle:
     def test_cold_start_error_is_total_channel_energy(self):
         config = _tiny_config()
@@ -148,13 +161,6 @@ class TestRunSingle:
         # per cell, SNR outer: the step size, and each regularizer weight as
         # set or else its noise ratio times the cell's noise variance; every
         # knob is compared as a (cells, 1) column, which a float broadcasts to
-        seen, rule = [], experiment.update
-
-        def recording(hyper, *args):
-            seen.append(hyper)
-            return rule(hyper, *args)
-
-        monkeypatch.setattr(experiment, "update", recording)
         snrs, mus = (5.0, 10.0, 15.0), (0.5, 1.0)
         cells = len(snrs) * len(mus)
         variances = [snr_to_variance(snr) for snr in snrs for _ in mus]
@@ -162,8 +168,7 @@ class TestRunSingle:
         for overrides, (lam_lp, lam_l0) in (({}, default),
                                             ({"lambda_lp": 1e-7, "lambda_l0": 2e-7}, ([1e-7] * cells, [2e-7] * cells))):
             config = _tiny_config(snr_db=snrs, mu=mus, iterations=5, p=0.3, epsilon=0.05, beta=9.0, **overrides)
-            seen.clear()
-            run_single([draw_run(config, 1, 0)], config, "l0_nlms")
+            seen = _knobs_seen(monkeypatch, config)
             assert len(seen) == config.iterations - 1
             expected = {"mu": [m for _ in snrs for m in mus], "lambda_lp": lam_lp, "lambda_l0": lam_l0}
             for hyper in seen:
@@ -256,16 +261,23 @@ class TestConfigValidation:
             ({"snr_db": (-math.inf,)}, "snr_db"),
             *[({key: value}, key) for key in ("lambda_lp", "lambda_l0", "epsilon", "beta")
               for value in (math.nan, math.inf)],
-            ({"mu": (-0.1,)}, "mu"),
-            ({"lambda_lp": -1e-9}, "lambda_lp"),
-            ({"lambda_l0": -1e-9}, "lambda_l0"),
-            ({"p": 0.0}, "p"),
-            ({"epsilon": -0.01}, "epsilon"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**overrides)
+
+    def test_lambda_defaults_scale_with_noise_power(self, monkeypatch):
+        hyper = _knobs_seen(monkeypatch, _tiny_config(iterations=2))[0]
+        variance = snr_to_variance(10.0)
+        assert hyper.lambda_lp == pytest.approx(LAMBDA_LP_NOISE_RATIO * variance)
+        assert hyper.lambda_l0 == pytest.approx(LAMBDA_L0_NOISE_RATIO * variance)
+
+    def test_explicit_lambda_overrides_rule(self, monkeypatch):
+        config = _tiny_config(snr_db=(5.0,), iterations=2, lambda_lp=1e-7, lambda_l0=2e-7)
+        hyper = _knobs_seen(monkeypatch, config)[0]
+        assert hyper.lambda_lp == 1e-7
+        assert hyper.lambda_l0 == 2e-7
 
 
 class TestRunGrid:
