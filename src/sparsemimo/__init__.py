@@ -5,7 +5,8 @@ normalized LMS adaptive filters (plain NLMS plus fractional-norm and
 zero-attracting sparse variants) and reproduces their Monte-Carlo MSE
 learning curves over a seeded parameter grid. Its data are plain arrays: a
 channel is an ``(nr, nt * L)`` array, a regressor an ``nt * L`` vector, and
-an update rule a pure function of them. See the ``sparsemimo`` command-line
+an update rule a function of them that leaves its inputs alone and may
+write its result into a given array. See the ``sparsemimo`` command-line
 tool for batch runs.
 """
 

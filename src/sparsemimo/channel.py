@@ -24,26 +24,28 @@ def assemble_mimo_channel(
     """Draw all nr*nt links independently (rx outer, tx inner); ``(nr, nt * L)`` rows.
 
     A link's K positions are uniform without replacement and its values
-    standard Gaussian. Only the draws run link by link, in stream order;
-    every link is then normalised and placed in one array step.
+    standard Gaussian. Only the draws run link by link, in stream order,
+    into preallocated ``(links, K)`` arrays; every link is then normalised
+    and placed in one array step.
     """
     if nt < 1 or nr < 1:
         raise ValueError("antenna counts must be at least 1")
     if not 1 <= sparsity <= length:
         raise ValueError(f"sparsity must be in [1, {length}], got {sparsity}")
-    positions, values = [], []
-    for _ in range(nr * nt):
-        positions.append(rng.choice(length, size=sparsity, replace=False))
-        link = rng.standard_normal(sparsity)
+    links = nr * nt
+    positions = np.empty((links, sparsity), dtype=np.intp)
+    values = np.empty((links, sparsity))
+    for i in range(links):
+        positions[i] = rng.choice(length, size=sparsity, replace=False)
+        link = values[i]
+        link[:] = rng.standard_normal(sparsity)
         # an exact-zero draw would silently shrink the support; redraw it
         # (a list's all() tests the same truth as link.all(), for less)
         while not all(link.tolist()):
             zero = link == 0.0
             link[zero] = rng.standard_normal(int(zero.sum()))
-        values.append(link)
-    values = np.array(values)
     # np.vecdot gives each row the bits of the 1-D ``link @ link``
     values /= np.sqrt(np.vecdot(values, values))[:, None]
-    taps = np.zeros((nr * nt, length))
-    np.put_along_axis(taps, np.array(positions), values, axis=1)
+    taps = np.zeros((links, length))
+    taps[np.arange(links)[:, None], positions] = values
     return taps.reshape(nr, nt * length)

@@ -1,15 +1,18 @@
 """Adaptive update rules for identifying one MISO channel row.
 
-The rules are one pure array function, ``update(hyper, h, x, e, energy) -> h``:
+The rules are one array function, ``update(hyper, h, x, e, energy, out=None) -> h``:
 it takes the current estimate ``h``, the regressor ``x``, the a-priori
 error ``e = y - h @ x`` and the regressor energy ``energy = x @ x``, and
-returns the next estimate. ``hyper.algorithm`` picks the rule, one branch
-each; ``lms`` ignores ``energy``. A run holds the energies of a whole block
-of regressors at once, so the caller always hands one in. The rule
+returns the next estimate, written into ``out`` when one is given and into
+a new array otherwise; ``out`` must not overlap ``h``, and ``h`` itself is
+never written. ``hyper.algorithm`` picks the rule, one branch each;
+``lms`` ignores ``energy``. A run holds the energies of a whole block of
+regressors at once, so the caller always hands one in. The rule
 broadcasts over leading batch axes: ``h`` may be a ``(..., N)`` stack of
 estimates with ``e`` shaped ``(..., 1)``, ``x`` and ``energy`` broadcasting
 against ``h`` and ``e``, and ``mu``/``lambda_lp``/``lambda_l0`` arrays that
-broadcast against ``e``; each row then gets the bits it gets alone.
+broadcast against ``e``; each row then gets the bits it gets alone, with or
+without ``out``.
 
 * ``lms``      plain stochastic gradient,   h += mu * e * x
 * ``nlms``     step normalized by the regressor energy,
@@ -92,7 +95,14 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     # Python's scalar float ** float; numpy's array ** rounds some values
     # differently, and the goldens pin these bits
     scale = np.float_power(np.float_power(sums, 1.0 / p), 1.0 - p)
-    return scale * np.sign(h) / (epsilon + magnitude ** (1.0 - p))
+    # in place from here, each step the bits of scale * sgn / (epsilon + m):
+    # ``**=`` runs the code ``**`` runs, fast paths (sqrt at 0.5, ...) included
+    magnitude **= 1.0 - p
+    magnitude += epsilon
+    attractor = np.sign(h)
+    attractor *= scale
+    attractor /= magnitude
+    return attractor
 
 
 def j_attractor(h, beta: float) -> np.ndarray:
@@ -108,17 +118,25 @@ def j_attractor(h, beta: float) -> np.ndarray:
 
 
 def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
-           energy: float | np.ndarray) -> np.ndarray:
-    """The next estimate under the rule ``hyper.algorithm`` names; ``ValueError`` for another name."""
+           energy: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The next estimate under the rule ``hyper.algorithm`` names, in ``out`` if given; ``ValueError`` for another name."""
     algorithm = hyper.algorithm
     if algorithm == "lms":
-        return h + hyper.mu * e * x
-    # the grouping is part of the pinned output: regrouping moves CSV bits
-    step = h + (hyper.mu * e / (NLMS_DELTA + energy)) * x
-    if algorithm == "nlms":
-        return step
+        c = hyper.mu * e
+    else:
+        # the grouping is part of the pinned output: regrouping moves CSV bits
+        c = hyper.mu * e / (NLMS_DELTA + energy)
+    # h + c * x, with c * x written into out first; + and * commute bit for bit
+    step = np.multiply(c, x, out=out)
+    out = np.add(h, step, out=out)
     if algorithm == "lp_nlms":
-        return step - hyper.rho_lp * lp_attractor(h, hyper.p, hyper.epsilon)
-    if algorithm == "l0_nlms":
-        return step - hyper.rho_l0 * j_attractor(h, hyper.beta)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        attractor = lp_attractor(h, hyper.p, hyper.epsilon)
+        attractor *= hyper.rho_lp
+        out -= attractor
+    elif algorithm == "l0_nlms":
+        attractor = j_attractor(h, hyper.beta)
+        attractor *= hyper.rho_l0
+        out -= attractor
+    elif algorithm not in ("nlms", "lms"):
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return out

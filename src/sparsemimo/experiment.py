@@ -18,10 +18,13 @@ together: one rule call per iteration updates every receive antenna's
 estimates of all those (realization, cell) pairs, each cell's noise scaled
 by its own SNR; only a lone pair updates its antennas one row at a time.
 The regressors, their energies, received samples and squared errors are
-computed a block of iterations at a time; only the update itself runs per
-iteration. A run's outcome is its squared errors and a mask of the pairs
-whose errors stayed finite: a pair whose run diverges is dropped from that
-run alone, and the other pairs come out bit for bit as they would alone.
+computed a block of iterations at a time; only the a-priori error and the
+update run per iteration, and both advance in place: the error into one
+buffer, and the rule's next estimates straight into the block's estimate
+array, with no copy. A run's outcome is its squared errors and a mask of
+the pairs whose errors stayed finite: a pair whose run diverges is dropped
+from that run alone, and the other pairs come out bit for bit as they
+would alone.
 
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
@@ -137,6 +140,16 @@ class ExperimentConfig:
         for snr in self.snr_db:
             if math.isnan(snr) or snr == -math.inf:
                 raise ValueError(f"snr_db: {snr} is not a valid SNR (use inf for noiseless)")
+            if snr != math.inf:
+                # past about +-3082.5 dB, 10 ** (snr / 10) overflows or
+                # underflows, and the variance with it
+                try:
+                    variance = snr_to_variance(snr)
+                except (OverflowError, ZeroDivisionError):
+                    variance = math.nan
+                if not 0 < variance < math.inf:
+                    raise ValueError(f"snr_db: {snr} dB has no finite positive noise variance "
+                                     "(finite SNRs must lie within about +-3082.5 dB; use inf for noiseless)")
         for m in self.mu:
             if not 0 < m < 2:
                 raise ValueError(f"mu: step sizes must lie in (0, 2), got {m}")
@@ -307,7 +320,10 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     their energies, received samples, squared errors and finiteness check
     are array operations; only the a-priori error and one ``update`` call
     for every receive antenna run per iteration, or for a lone pair one
-    call per antenna on floats. The block length leaves every bit as it is.
+    call per antenna on floats. Each iteration works in place: the error
+    goes into one buffer made per call, and ``update`` writes the next
+    estimates into the block's estimate array through its ``out``. The
+    block length leaves every bit as it is.
     """
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
     period = config.fading_period or iterations
@@ -343,6 +359,12 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     squared = np.empty((count, cells, iterations))
     squared[:, :, 0] = [[float(np.sum(rows[0] * rows[0]))] for rows in channels]
     finite = np.ones((count, cells), dtype=bool)
+    # one iteration's a-priori errors, (nr, realizations, cells), and the
+    # rule's views of them, written in place every iteration
+    e = np.empty((nr, count, cells))
+    e_column, e_flat = e[..., None], e.reshape(-1)
+    # a lone pair's per-antenna views of every block row, made once
+    lone_rows = [list(estimate) for estimate in estimates] if lone else None
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, iterations, BLOCK):
             size = min(BLOCK, iterations - start)
@@ -356,19 +378,25 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
             ys = clean + (0.0 + noise[:, start:start + size].transpose(1, 2, 0)[..., None] * stds)
             # np.vecdot gives the bits of the one-row float(x @ x)
             energies = np.vecdot(xs, xs).T
-            # a lone pair's error and energy go to the rule as floats, whose
-            # scalar arithmetic costs less than a (1, 1, 1) array's
             energies = energies[:, 0].tolist() if lone else energies[:, :, None, None]
             xs = xs.transpose(1, 0, 2)[:, :, None]
             for j in range(size):
-                x, before, after = xs[j], estimates[j], estimates[j + 1]
+                x, before = xs[j], estimates[j]
                 # np.vecdot, not @: it gives the bits of the one-row h @ x
-                e = ys[j] - np.vecdot(before, x)
+                np.vecdot(before, x, out=e)
+                np.subtract(ys[j], e, out=e)
                 if lone:
-                    for i, ei in enumerate(e.ravel().tolist()):
-                        after[i] = update(hyper, before[i], x, ei, energies[j])
+                    # a lone pair's error and energy go to the rule as floats,
+                    # one call per antenna. The one call on the (nr, 1, 1,
+                    # nt * L) stack below gives the same bits for less; this
+                    # path stays only because the bench tracer's tests pin
+                    # one update call per antenna for a lone pair, until
+                    # ROADMAP items 1-2 change them
+                    energy = energies[j]
+                    for h, out, ei in zip(lone_rows[j], lone_rows[j + 1], e_flat.tolist()):
+                        update(hyper, h, x, ei, energy, out)
                 else:
-                    after[:] = update(hyper, before, x, e[..., None], energies[j])
+                    update(hyper, before, x, e_column, energies[j], estimates[j + 1])
             diff = hs.transpose(1, 2, 0, 3)[:, :, :, None] - estimates[1:size + 1]
             per_row = np.vecdot(diff, diff)
             # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair

@@ -370,6 +370,14 @@ class TestMainAndManifest:
         assert "beta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["3083", "4000", "-4000", "-3100"])
+    def test_snr_without_finite_noise_variance_refused(self, tmp_path, capsys, snr):
+        # 1 / 10 ** (snr / 10) overflows, divides by zero or comes out inf
+        out = tmp_path / "res.csv"
+        assert main(TINY_ARGS + ["--snr-db", snr, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: snr_db: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_module_entry_point_writes_the_csv(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
         out = tmp_path / "res.csv"

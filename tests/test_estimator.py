@@ -346,6 +346,28 @@ class TestCommonUpdateContract:
             formula = lp_norm(row, p) ** (1.0 - p) * np.sign(row) / (epsilon + np.abs(row) ** (1.0 - p))
             assert attractor[index].tobytes() == formula.tobytes(), index
 
+    @pytest.mark.parametrize("p", [0.45, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_out_is_returned_with_the_bits_of_a_new_array(self, name, p):
+        # run_single's two shapes: an (nr, realizations, cells, N) stack with
+        # (cells, 1) knob columns, and one antenna row with a float error;
+        # p = 0.5 and 1.0 are where numpy's ** takes a fast path
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((2, 2, 3, 32)) * rng.integers(0, 2, (2, 2, 3, 32))
+        x = rng.standard_normal((2, 1, 32))
+        mu, lam = np.array([[0.5], [1.0], [1.5]]), np.array([[1e-3], [2e-4], [0.0]])
+        stacked = (HyperParams(name, mu=mu, lambda_lp=lam, lambda_l0=lam, p=p),
+                   stack, x, rng.standard_normal((2, 2, 3, 1)), np.vecdot(x, x)[:, None, None])
+        lone = (HyperParams(name, mu=0.5, lambda_lp=1e-3, lambda_l0=1e-3, p=p),
+                stack[0, :1, :1], x[0], -0.7, float(x[0, 0] @ x[0, 0]))
+        for hyper, h, *args in (stacked, lone):
+            before = h.copy()
+            fresh = update(hyper, h, *args)
+            out = np.full_like(h, np.nan)
+            assert update(hyper, h, *args, out) is out
+            assert out.tobytes() == fresh.tobytes(), (name, p, h.shape)
+            assert h.tobytes() == before.tobytes()
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="rls"):
             update(HyperParams("rls"), np.zeros(2), _vec([1.0, 0.0]), 0.1, 1.0)

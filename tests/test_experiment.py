@@ -261,11 +261,18 @@ class TestConfigValidation:
             ({"snr_db": (-math.inf,)}, "snr_db"),
             *[({key: value}, key) for key in ("lambda_lp", "lambda_l0", "epsilon", "beta")
               for value in (math.nan, math.inf)],
+            ({"snr_db": (10.0, 3083.0)}, "snr_db"),
+            ({"snr_db": (-3100.0,)}, "snr_db"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**overrides)
+
+    def test_snr_range_edges_accepted(self):
+        # finite SNRs at the edges of the range whose noise variance is a finite positive double
+        config = ExperimentConfig(snr_db=(-3082.5, 3082.5, math.inf))
+        assert [0 < snr_to_variance(snr) < math.inf for snr in config.snr_db[:2]] == [True, True]
 
     def test_lambda_defaults_scale_with_noise_power(self, monkeypatch):
         hyper = _knobs_seen(monkeypatch, _tiny_config(iterations=2))[0]
