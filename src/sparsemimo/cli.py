@@ -16,9 +16,12 @@ from . import __version__
 from .estimator import ALGORITHMS
 from .experiment import (
     GENERATOR_KINDS,
+    LAMBDA_L0_NOISE_RATIO,
+    LAMBDA_LP_NOISE_RATIO,
     CellKey,
     ExperimentConfig,
     GridResult,
+    _count,
     first_iteration_below,
     run_grid,
     steady_state_mse,
@@ -70,8 +73,8 @@ _FIELDS = {
     "k": (_csv_list(int), "comma-separated dominant-tap counts"),
     "snr_db": (_csv_list(float), "comma-separated SNR values in dB (inf = noiseless)"),
     "mu": (_csv_list(float), "comma-separated step sizes in (0, 2)"),
-    "lambda_lp": (float, "fractional-norm penalty weight (default: 1e-4 x noise power)"),
-    "lambda_l0": (float, "zero-attractor penalty weight (default: 1e-3 x noise power)"),
+    "lambda_lp": (float, f"fractional-norm penalty weight (default: {LAMBDA_LP_NOISE_RATIO:g} x noise power)"),
+    "lambda_l0": (float, f"zero-attractor penalty weight (default: {LAMBDA_L0_NOISE_RATIO:g} x noise power)"),
     "p": (float, "fractional norm exponent in (0, 1]"),
     "epsilon": (float, "attractor denominator guard"),
     "beta": (float, "attraction band is |h| <= 1/beta"),
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"config: cannot read {path}: {exc}") from None
     values, lines = {}, {}
@@ -335,14 +338,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
-        if args.workers < 1:
-            raise UsageError("workers: must be at least 1")
+        _count("workers", args.workers)
         files = {}  # each file the run reads or writes -> the flag that names it
         for flag, path in (("config", args.config), ("out", args.out), ("out", manifest_path_for(args.out)),
                            ("plot-script", args.plot_script)):
             if path is not None and files.setdefault(path.resolve(), flag) != flag:
                 raise UsageError(f"{flag}: {path} is also the {files[path.resolve()]} file")
-    except UsageError as exc:
+    except ValueError as exc:  # a UsageError, or a bad worker count
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for path in filter(None, (args.out, args.plot_script)):  # found now, not after the whole grid

@@ -95,14 +95,7 @@ def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
     # Python's scalar float ** float; numpy's array ** rounds some values
     # differently, and the goldens pin these bits
     scale = np.float_power(np.float_power(sums, 1.0 / p), 1.0 - p)
-    # in place from here, each step the bits of scale * sgn / (epsilon + m):
-    # ``**=`` runs the code ``**`` runs, fast paths (sqrt at 0.5, ...) included
-    magnitude **= 1.0 - p
-    magnitude += epsilon
-    attractor = np.sign(h)
-    attractor *= scale
-    attractor /= magnitude
-    return attractor
+    return scale * np.sign(h) / (epsilon + magnitude ** (1.0 - p))
 
 
 def j_attractor(h, beta: float) -> np.ndarray:

@@ -35,6 +35,7 @@ of each :class:`CellKey` to its curve; a cell whose runs all diverged has none.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,12 +84,28 @@ class CellKey(NamedTuple):
     nr: int
 
 
+def _count(key: str, value, floor: int = 1, ceiling: float = math.inf) -> int:
+    """``value``, an integer of any type (numpy's too), as an ``int`` in ``[floor, ceiling]``.
+
+    A float fails, even a whole one; each failure raises a ``ValueError`` that names ``key``.
+    """
+    try:
+        count = int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{key}: must be an integer, got {value!r}") from None
+    if not floor <= count <= ceiling:
+        bounds = f"at least {floor}" if ceiling == math.inf else f"in [{floor}, {ceiling}]"
+        raise ValueError(f"{key}: must be {bounds}, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition plus shared simulation parameters.
 
-    This is the one place the parameters are validated; the update rules
-    and :class:`HyperParams` trust what it resolves.
+    This is the one place the parameters are validated, every count by one
+    rule that stores it as an ``int``; the update rules and
+    :class:`HyperParams` trust what it resolves.
 
     SNR convention: ``snr_db`` sets the noise variance ``1 / SNR`` on each
     receive antenna. Training has unit power per transmit antenna and every
@@ -115,9 +132,9 @@ class ExperimentConfig:
     generator: str = "gaussian"
     lambda_lp: float | None = None
     lambda_l0: float | None = None
-    p: float = 0.45
-    epsilon: float = 0.02
-    beta: float = 15.0
+    p: float = HyperParams.p
+    epsilon: float = HyperParams.epsilon
+    beta: float = HyperParams.beta
     fading_period: int | None = None
 
     def __post_init__(self):
@@ -130,13 +147,12 @@ class ExperimentConfig:
             if len(set(value)) != len(value):
                 # a repeated value would add the same cell's runs twice
                 raise ValueError(f"{key}: duplicate values in {value}")
-        if self.nt < 1 or self.nr < 1:
-            raise ValueError("nt/nr: antenna counts must be at least 1")
-        if self.length < 1:
-            raise ValueError("length: tap count must be at least 1")
-        for k in self.sparsity:
-            if not 1 <= k <= self.length:
-                raise ValueError(f"k: sparsity must lie in [1, {self.length}], got {k}")
+        # one rule for every count; only the seed may be 0, and only the fading period None
+        for name in ("nt", "nr", "length", "runs", "iterations", "seed", "fading_period"):
+            value = getattr(self, name)
+            if value is not None or name != "fading_period":
+                object.__setattr__(self, name, _count(name, value, 0 if name == "seed" else 1))
+        object.__setattr__(self, "sparsity", tuple(_count("k", k, 1, self.length) for k in self.sparsity))
         for snr in self.snr_db:
             if math.isnan(snr) or snr == -math.inf:
                 raise ValueError(f"snr_db: {snr} is not a valid SNR (use inf for noiseless)")
@@ -156,12 +172,6 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"algorithms: unknown algorithm {a!r}; expected one of {ALGORITHMS}")
-        if self.runs < 1:
-            raise ValueError("runs: must be at least 1")
-        if self.iterations < 1:
-            raise ValueError("iterations: must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed: must be nonnegative")
         if self.generator not in GENERATOR_KINDS:
             raise ValueError(f"generator: unknown kind {self.generator!r}; expected one of {GENERATOR_KINDS}")
         for name in ("lambda_lp", "lambda_l0"):
@@ -174,8 +184,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon: must be finite and positive, got {self.epsilon}")
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta: must be finite and positive, got {self.beta}")
-        if self.fading_period is not None and self.fading_period < 1:
-            raise ValueError("fading_period: must be at least 1 when set")
 
     def cell_keys(self) -> list[CellKey]:
         return [
@@ -386,12 +394,9 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
                 np.vecdot(before, x, out=e)
                 np.subtract(ys[j], e, out=e)
                 if lone:
-                    # a lone pair's error and energy go to the rule as floats,
-                    # one call per antenna. The one call on the (nr, 1, 1,
-                    # nt * L) stack below gives the same bits for less; this
-                    # path stays only because the bench tracer's tests pin
-                    # one update call per antenna for a lone pair, until
-                    # ROADMAP items 1-2 change them
+                    # a lone pair: float error and energy, one call per antenna;
+                    # the stacked call below gives the same bits for less, but
+                    # the bench tracer's tests pin these calls (ROADMAP items 1-2)
                     energy = energies[j]
                     for h, out, ei in zip(lone_rows[j], lone_rows[j + 1], e_flat.tolist()):
                         update(hyper, h, x, ei, energy, out)
@@ -461,8 +466,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     master seed regardless of ``workers``: every task is a pure function of
     the config, and each cell's surviving runs are summed in run order.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _count("workers", workers)
     keys = config.cell_keys()
     tasks = [(config, run) for run in range(config.runs)]
 

@@ -22,20 +22,12 @@ from sparsemimo.experiment import (
     steady_state_mse,
 )
 
+from oracles import l0_approx_norm, l0_exponential_attractor
+
 ALGS = ("nlms", "lp_nlms", "l0_nlms")
 SEED = 7
 RUNS = 100
 WORKERS = 2
-
-
-def l0_approx_norm(h, beta):
-    """Smooth nonzero-count surrogate ``sum(1 - exp(-beta * |h_i|))``."""
-    return float(np.sum(1.0 - np.exp(-beta * np.abs(h))))
-
-
-def l0_exponential_attractor(h, beta):
-    """Exact gradient of :func:`l0_approx_norm`: ``beta * sgn(h) * exp(-beta |h|)``."""
-    return beta * np.sign(h) * np.exp(-beta * np.abs(h))
 
 
 def _report(num, name, passed, detail):

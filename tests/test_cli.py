@@ -26,7 +26,7 @@ from sparsemimo.cli import (
     replay_manifest,
     write_plot_script,
 )
-from sparsemimo.experiment import CellKey, ExperimentConfig
+from sparsemimo.experiment import CellKey, ExperimentConfig, run_grid
 
 
 def _trace(values):
@@ -121,6 +121,14 @@ class TestParseConfig:
         config = parse_config(["--config", str(path), "--runs", "3"])
         assert config.runs == 3
         assert config.snr_db == (5.0, 15.0)
+
+    def test_config_file_may_start_with_a_bom(self, tmp_path):
+        # Windows Notepad saves UTF-8 with a byte order mark
+        text = "runs = 7\nsnr_db = 5, 15\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config(["--config", str(marked)]) == parse_config(["--config", str(plain)])
 
     def test_config_file_bad_value_fails_under_a_flag(self, tmp_path, capsys):
         # file values are parsed when the file loads, even one a flag overrides
@@ -300,6 +308,18 @@ class TestMainAndManifest:
         replay_out = tmp_path / "replay.csv"
         replay_manifest(manifest_path_for(out), replay_out)
         assert replay_out.read_bytes() == out.read_bytes()
+
+    def test_numpy_integer_sparsity_manifest_replays(self, tmp_path):
+        # numpy integers are stored as int, so the manifest's JSON can hold them
+        config = ExperimentConfig(sparsity=tuple(np.arange(1, 3)), snr_db=(10.0,), mu=(0.5,),
+                                  algorithms=("nlms",), runs=2, iterations=40, length=8)
+        assert [type(k) for k in config.sparsity] == [int, int]
+        out, manifest = tmp_path / "res.csv", tmp_path / "res.manifest.json"
+        result = run_grid(config)
+        emit_csv(result, out)
+        RunManifest.collect(config, result, "start", "end").write(manifest)
+        replay_manifest(manifest, tmp_path / "replay.csv")
+        assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
 
     def test_summary_flag_prints_table(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -16,6 +16,8 @@ from sparsemimo.estimator import (
 )
 from sparsemimo.experiment import ExperimentConfig, draw_run, run_single
 
+from oracles import l0_approx_norm, l0_exponential_attractor
+
 
 def _vec(values):
     return np.asarray(values, dtype=float)
@@ -24,17 +26,6 @@ def _vec(values):
 def lp_norm(h, p):
     """Fractional vector norm ``(sum |h_i|^p) ** (1/p)`` of one row, in scalar pow."""
     return float(np.sum(np.abs(h) ** p) ** (1.0 / p))
-
-
-def l0_approx_norm(h, beta):
-    """Smooth nonzero-count surrogate ``sum(1 - exp(-beta * |h_i|))``."""
-    return float(np.sum(1.0 - np.exp(-beta * np.abs(np.asarray(h, dtype=float)))))
-
-
-def l0_exponential_attractor(h, beta):
-    """Exact gradient of :func:`l0_approx_norm`: ``beta * sgn(h) * exp(-beta |h|)``."""
-    h = np.asarray(h, dtype=float)
-    return beta * np.sign(h) * np.exp(-beta * np.abs(h))
 
 
 class TestLms:

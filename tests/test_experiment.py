@@ -263,11 +263,36 @@ class TestConfigValidation:
               for value in (math.nan, math.inf)],
             ({"snr_db": (10.0, 3083.0)}, "snr_db"),
             ({"snr_db": (-3100.0,)}, "snr_db"),
+            ({"nt": 2.0}, "nt"),
+            ({"length": 16.0}, "length"),
+            ({"runs": 1.5}, "runs"),
+            ({"iterations": 5.5}, "iterations"),
+            ({"seed": 1.5}, "seed"),
+            ({"fading_period": 2.5}, "fading_period"),
+            ({"sparsity": (1.0,)}, "k"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in ("nt", "nr", "length", "runs", "iterations", "seed", "fading_period", "k")
+        for value in (-1, 2.0, None) if (key, value) != ("fading_period", None)  # None keeps it static
+    ])
+    def test_count_errors_name_their_key_alone(self, key, value):
+        # every count fails under one rule whose message starts with its key
+        overrides = {"sparsity": (value,)} if key == "k" else {key: value}
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**overrides)
+        assert str(exc.value).startswith(f"{key}: must be ")
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        config = ExperimentConfig(nt=np.int64(2), runs=np.int32(3), sparsity=tuple(np.arange(1, 3)),
+                                  fading_period=np.uint8(20))
+        counts = (config.nt, config.runs, config.fading_period, *config.sparsity)
+        assert [type(count) for count in counts] == [int] * 5
+        assert counts == (2, 3, 20, 1, 2)
 
     def test_snr_range_edges_accepted(self):
         # finite SNRs at the edges of the range whose noise variance is a finite positive double
@@ -488,6 +513,15 @@ class TestRunGrid:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
             run_grid(_tiny_config(), workers=0)
+
+    def test_fractional_worker_count_rejected_before_any_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(experiment, "draw_run", refuse)
+        with pytest.raises(ValueError, match="^workers: "):
+            run_grid(_tiny_config(runs=3), workers=1.5)
 
     @pytest.mark.parametrize("generator", ["bpsk", "ofdm"])
     def test_alternative_training_generators_run_end_to_end(self, generator):
