@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -262,16 +263,19 @@ class RunManifest:
         )
 
     def write(self, path) -> None:
-        payload = dataclasses.asdict(self)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        """Dump to a sibling temporary file, then move it over ``path``: a failed dump leaves no partial manifest."""
+        temporary = Path(f"{path}.tmp")
+        try:
+            with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
+                json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return cls(**payload)
+        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
     def experiment_config(self) -> ExperimentConfig:
         return ExperimentConfig(**self.config)
@@ -339,9 +343,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
         _count("workers", args.workers)
-        files = {}  # each file the run reads or writes -> the flag that names it
+        files = {}  # each file the run reads or writes, the manifest's temporary too -> the flag naming it
         for flag, path in (("config", args.config), ("out", args.out), ("out", manifest_path_for(args.out)),
-                           ("plot-script", args.plot_script)):
+                           ("out", Path(f"{manifest_path_for(args.out)}.tmp")), ("plot-script", args.plot_script)):
             if path is not None and files.setdefault(path.resolve(), flag) != flag:
                 raise UsageError(f"{flag}: {path} is also the {files[path.resolve()]} file")
     except ValueError as exc:  # a UsageError, or a bad worker count

@@ -11,20 +11,22 @@ of :func:`draw_run`, and the SNR convention of :func:`snr_to_variance`.
 
 Because those realizations are shared, a run is drawn once per K: its
 channel epochs, training stream and unit-scale noise come from one pass
-over its random stream, before any adaptation. Cells of different K
-differ only in those draws, so each K's draws are one realization, and one
-call per algorithm advances every K, step size and SNR of a run index
-together: one rule call per iteration updates every receive antenna's
-estimates of all those (realization, cell) pairs, each cell's noise scaled
-by its own SNR; only a lone pair updates its antennas one row at a time.
-The regressors, their energies, received samples and squared errors are
-computed a block of iterations at a time; only the a-priori error and the
-update run per iteration, and both advance in place: the error into one
-buffer, and the rule's next estimates straight into the block's estimate
-array, with no copy. A run's outcome is its squared errors and a mask of
-the pairs whose errors stayed finite: a pair whose run diverges is dropped
-from that run alone, and the other pairs come out bit for bit as they
-would alone.
+over its random stream, before any adaptation. Cells of different K differ
+only in those draws, so each K's draws are one realization, and one call
+per algorithm advances every K, step size and SNR of a run index together:
+one rule call per iteration updates every receive antenna's estimates of
+all those (realization, cell) pairs, each cell's noise scaled by its own
+SNR; only a lone pair updates its antennas one row at a time. Every
+estimate is one row of a C-contiguous ``(rows, nt * L)`` array, one per
+(antenna, realization, cell), antenna-major, beside a copy of its
+regressor. The regressors, their energies, received samples and squared
+errors are computed a block of iterations at a time; only the a-priori
+error and the update run per iteration, and both advance in place: the
+error into one buffer, and the rule's next estimates straight into the
+block's estimate array, with no copy. A run's outcome is its squared
+errors and a mask of the pairs whose errors stayed finite: a pair whose
+run diverges is dropped from that run alone, and the other pairs come out
+bit for bit as they would alone.
 
 A cell's result is its learning curve: the per-iteration mean squared
 error over the runs that did not diverge, one float64 array. Runs are
@@ -35,6 +37,7 @@ of each :class:`CellKey` to its curve; a cell whose runs all diverged has none.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,13 +102,21 @@ def _count(key: str, value, floor: int = 1, ceiling: float = math.inf) -> int:
     return count
 
 
+def _real(key: str, value) -> float:
+    """``value``, a real number of any type (numpy's too), as a ``float``; else a ``ValueError`` naming ``key``."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{key}: must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition plus shared simulation parameters.
 
     This is the one place the parameters are validated, every count by one
-    rule that stores it as an ``int``; the update rules and
-    :class:`HyperParams` trust what it resolves.
+    rule that stores it as an ``int`` and every real knob by one that
+    stores it as a ``float``; the update rules and :class:`HyperParams`
+    trust what it resolves.
 
     SNR convention: ``snr_db`` sets the noise variance ``1 / SNR`` on each
     receive antenna. Training has unit power per transmit antenna and every
@@ -140,13 +151,20 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("sparsity", "snr_db", "mu", "algorithms"):
             value = tuple(getattr(self, name))
-            object.__setattr__(self, name, value)
             key = "k" if name == "sparsity" else name
             if not value:
                 raise ValueError(f"{key}: at least one value is required")
+            if name in ("snr_db", "mu"):
+                value = tuple(_real(name, v) for v in value)
+            object.__setattr__(self, name, value)
             if len(set(value)) != len(value):
                 # a repeated value would add the same cell's runs twice
                 raise ValueError(f"{key}: duplicate values in {value}")
+        # one rule for every real knob: a float, so the manifest's JSON holds
+        # numpy's floats too; only a regularizer weight may be None
+        for name in ("p", "epsilon", "beta", "lambda_lp", "lambda_l0"):
+            if getattr(self, name) is not None or not name.startswith("lambda_"):
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         # one rule for every count; only the seed may be 0, and only the fading period None
         for name in ("nt", "nr", "length", "runs", "iterations", "seed", "fading_period"):
             value = getattr(self, name)
@@ -324,19 +342,22 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     bit as it does alone. A subset of cells is
     ``dataclasses.replace(config, snr_db=..., mu=...)``.
 
-    The runs advance ``BLOCK`` iterations at a time. A block's regressors,
-    their energies, received samples, squared errors and finiteness check
-    are array operations; only the a-priori error and one ``update`` call
-    for every receive antenna run per iteration, or for a lone pair one
-    call per antenna on floats. Each iteration works in place: the error
-    goes into one buffer made per call, and ``update`` writes the next
-    estimates into the block's estimate array through its ``out``. The
-    block length leaves every bit as it is.
+    Every estimate is one row of a C-contiguous ``(rows, nt * L)`` array,
+    ``nr * realizations * cells`` rows antenna-major; a knob that differs
+    between cells reaches the rule as a ``(rows, 1)`` column. The runs
+    advance ``BLOCK`` iterations at a time: a block's regressors, copied
+    into one row each, their energies, received samples, squared errors and
+    finiteness check are array operations. Per iteration run only the
+    a-priori error, into one ``(rows,)`` buffer, and one ``update`` of every
+    row through its ``out``, or for a lone pair one call per antenna on
+    floats. The block length leaves every bit as it is.
     """
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
     period = config.fading_period or iterations
     pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
-    cells = len(pairs)
+    count, cells, taps = len(draws), len(pairs), nt * length
+    rows = nr * count * cells
+    lone = count * cells == 1
     # each cell's knobs on Python floats, as numpy's array ** can round
     # differently; an unset weight scales with the cell's noise power
     variances = [snr_to_variance(snr) for snr, _ in pairs]
@@ -344,14 +365,13 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     for name, ratio in (("lambda_lp", LAMBDA_LP_NOISE_RATIO), ("lambda_l0", LAMBDA_L0_NOISE_RATIO)):
         weight = getattr(config, name)
         knobs[name] = [ratio * v if weight is None else weight for v in variances]
-    # a knob that differs between cells becomes a (cells, 1) column, which
-    # the rule broadcasts; a shared one stays a float, which is cheaper
-    knobs = {name: values[0] if len(set(values)) == 1 else np.array(values)[:, None]
+    # a knob that differs between cells becomes a (rows, 1) column, each
+    # row its cell's value, which the rule broadcasts; a shared one stays
+    # a float, which is cheaper
+    knobs = {name: values[0] if len(set(values)) == 1 else np.tile(values, nr * count)[:, None]
              for name, values in knobs.items()}
     hyper = HyperParams(algorithm, p=config.p, epsilon=config.epsilon, beta=config.beta, **knobs)
     stds = np.array([math.sqrt(v) for v in variances])
-    count, taps = len(draws), nt * length
-    lone = count * cells == 1
     channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
     shapes = ((1 + (iterations - 1) // period, nr, taps), (iterations, nt), (iterations, nr))
     if (channels.shape[1:], training.shape[1:], noise.shape[1:]) != shapes:
@@ -360,18 +380,23 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     # n-L+1, zero before the start: a reversed window onto the padded stream
     padded = np.concatenate([np.zeros((count, length - 1, nt)), training], axis=1)
     windows = sliding_window_view(padded, length, axis=1)[..., ::-1]
-    # estimates[j] holds every antenna's (realizations, cells, nt * L)
-    # estimates after the block's j-th iteration; estimates[0] carries over
-    # from the last block
-    estimates = np.zeros((min(BLOCK, iterations) + 1, nr, count, cells, taps))
+    # estimates[j] holds every row's estimate after the block's j-th
+    # iteration (estimates[0] carried over) and regressors[j] its regressor;
+    # their reshapes by grid index the rows by (antenna, realization, cell)
+    estimates = np.zeros((min(BLOCK, iterations) + 1, rows, taps))
+    regressors = np.empty((min(BLOCK, iterations), rows, taps))
+    grid = (nr, count, cells, taps)
     squared = np.empty((count, cells, iterations))
-    squared[:, :, 0] = [[float(np.sum(rows[0] * rows[0]))] for rows in channels]
+    squared[:, :, 0] = [[float(np.sum(epochs[0] * epochs[0]))] for epochs in channels]
     finite = np.ones((count, cells), dtype=bool)
-    # one iteration's a-priori errors, (nr, realizations, cells), and the
-    # rule's views of them, written in place every iteration
-    e = np.empty((nr, count, cells))
-    e_column, e_flat = e[..., None], e.reshape(-1)
-    # a lone pair's per-antenna views of every block row, made once
+    # one iteration's a-priori errors, one per row, and the rule's column
+    # view of them, written in place every iteration
+    e = np.empty(rows)
+    e_column = e[:, None]
+    # the per-iteration operands as lists of row views, made once, as
+    # indexing a list costs less than indexing an array; a lone pair's
+    # estimates per antenna, and its one regressor as a 1-D row
+    estimate_rows, regressor_rows = list(estimates), [x[0] if lone else x for x in regressors]
     lone_rows = [list(estimate) for estimate in estimates] if lone else None
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, iterations, BLOCK):
@@ -382,14 +407,15 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
             # the one-iteration rows @ x (gemv); xs @ rows.T runs as gemm
             # and moves them
             clean = np.matmul(hs, xs[..., None]).transpose(1, 2, 0, 3)
-            # ys[j] is iteration j's (nr, realizations, cells) received samples
-            ys = clean + (0.0 + noise[:, start:start + size].transpose(1, 2, 0)[..., None] * stds)
+            # ys[j] is iteration j's received sample of every row
+            ys = list((clean + (0.0 + noise[:, start:start + size].transpose(1, 2, 0)[..., None] * stds))
+                      .reshape(size, rows))
             # np.vecdot gives the bits of the one-row float(x @ x)
             energies = np.vecdot(xs, xs).T
-            energies = energies[:, 0].tolist() if lone else energies[:, :, None, None]
-            xs = xs.transpose(1, 0, 2)[:, :, None]
+            energies = energies[:, 0].tolist() if lone else list(np.tile(energies.repeat(cells, 1), nr)[..., None])
+            np.copyto(regressors[:size].reshape(size, *grid), xs.transpose(1, 0, 2)[:, None, :, None])
             for j in range(size):
-                x, before = xs[j], estimates[j]
+                before, x = estimate_rows[j], regressor_rows[j]
                 # np.vecdot, not @: it gives the bits of the one-row h @ x
                 np.vecdot(before, x, out=e)
                 np.subtract(ys[j], e, out=e)
@@ -397,12 +423,11 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
                     # a lone pair: float error and energy, one call per antenna;
                     # the stacked call below gives the same bits for less, but
                     # the bench tracer's tests pin these calls (ROADMAP items 1-2)
-                    energy = energies[j]
-                    for h, out, ei in zip(lone_rows[j], lone_rows[j + 1], e_flat.tolist()):
-                        update(hyper, h, x, ei, energy, out)
+                    for h, out, ei in zip(lone_rows[j], lone_rows[j + 1], e.tolist()):
+                        update(hyper, h, x, ei, energies[j], out)
                 else:
-                    update(hyper, before, x, e_column, energies[j], estimates[j + 1])
-            diff = hs.transpose(1, 2, 0, 3)[:, :, :, None] - estimates[1:size + 1]
+                    update(hyper, before, x, e_column, energies[j], estimate_rows[j + 1])
+            diff = hs.transpose(1, 2, 0, 3)[:, :, :, None] - estimates[1:size + 1].reshape(size, *grid)
             per_row = np.vecdot(diff, diff)
             # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
             # the terms differently and move bits

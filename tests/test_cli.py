@@ -321,6 +321,43 @@ class TestMainAndManifest:
         replay_manifest(manifest, tmp_path / "replay.csv")
         assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("real", [np.float32, np.float64])
+    def test_numpy_float_knobs_manifest_replays(self, tmp_path, real):
+        # numpy floats are stored as float, so the manifest's JSON can hold them
+        config = ExperimentConfig(snr_db=(real(10.0),), mu=(real(0.5),), p=real(0.5), epsilon=real(0.25),
+                                  beta=real(8.0), lambda_l0=real(2.0**-18), sparsity=(1,),
+                                  algorithms=("nlms", "l0_nlms"), runs=2, iterations=40, length=8)
+        out, manifest = tmp_path / "res.csv", tmp_path / "res.manifest.json"
+        result = run_grid(config)
+        emit_csv(result, out)
+        RunManifest.collect(config, result, "start", "end").write(manifest)
+        assert RunManifest.load(manifest).experiment_config() == config
+        replay_manifest(manifest, tmp_path / "replay.csv")
+        assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
+
+    def test_failed_manifest_dump_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        def manifest(seed):
+            return RunManifest(config={"seed": seed}, version="0", seed=seed, started="start", finished="end",
+                               divergence_counts={})
+
+        def failing(payload, handle, **kwargs):
+            handle.write('{"config": {')
+            raise TypeError("not JSON serializable")
+
+        path = tmp_path / "res.manifest.json"
+        monkeypatch.setattr(cli.json, "dump", failing)
+        with pytest.raises(TypeError):
+            manifest(1).write(path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        manifest(1).write(path)
+        previous = path.read_bytes()
+        monkeypatch.setattr(cli.json, "dump", failing)
+        with pytest.raises(TypeError):
+            manifest(2).write(path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == previous
+
     def test_summary_flag_prints_table(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         code = main(TINY_ARGS + ["--out", str(out), "--summary"])
@@ -447,6 +484,17 @@ class TestMainAndManifest:
         assert capsys.readouterr().err == f"error: {flag[2:]}: {config} is also the config file\n"
         assert config.read_text(encoding="utf-8").startswith("runs = 2\n")
         assert not out.exists() and not manifest_path_for(out).exists()
+
+    def test_manifest_temporary_may_not_be_the_config_file(self, tmp_path, capsys):
+        # the manifest is written to a sibling .tmp file that then replaces
+        # it, which would delete a config file of that name
+        out = tmp_path / "res.csv"
+        config = tmp_path / "res.manifest.json.tmp"
+        config.write_text("runs = 2\niterations = 40\n", encoding="utf-8")
+        assert main(["--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: out: {config} is also the config file\n"
+        assert config.read_text(encoding="utf-8") == "runs = 2\niterations = 40\n"
+        assert not out.exists()
 
     def test_manifest_json_is_complete(self, tmp_path):
         out = tmp_path / "res.csv"

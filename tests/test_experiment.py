@@ -47,8 +47,8 @@ def _lone_curve(draws, config, algorithm="nlms"):
     return squared[0, 0]
 
 
-def _knobs_seen(monkeypatch, config):
-    """The knobs ``run_single`` hands the rule, one per update, for one l0_nlms run."""
+def _knobs_seen(monkeypatch, config, realizations=1):
+    """The knobs ``run_single`` hands the rule, one per update, for l0_nlms runs of K=1."""
     seen, rule = [], experiment.update
 
     def recording(hyper, *args):
@@ -56,7 +56,7 @@ def _knobs_seen(monkeypatch, config):
         return rule(hyper, *args)
 
     monkeypatch.setattr(experiment, "update", recording)
-    run_single([draw_run(config, 1, 0)], config, "l0_nlms")
+    run_single([draw_run(config, 1, run) for run in range(realizations)], config, "l0_nlms")
     return seen
 
 
@@ -159,23 +159,33 @@ class TestRunSingle:
 
     def test_each_cell_gets_its_knobs(self, monkeypatch):
         # per cell, SNR outer: the step size, and each regularizer weight as
-        # set or else its noise ratio times the cell's noise variance; every
-        # knob is compared as a (cells, 1) column, which a float broadcasts to
-        snrs, mus = (5.0, 10.0, 15.0), (0.5, 1.0)
+        # set or else its noise ratio times the cell's noise variance. The
+        # rule sees one row per (antenna, realization, cell), antenna-major,
+        # and every row must carry its own cell's knob: a knob shared by all
+        # cells as one float, one that differs as a (rows, 1) column
+        snrs, mus, realizations = (5.0, 10.0, 15.0), (0.5, 1.0), 2
         cells = len(snrs) * len(mus)
         variances = [snr_to_variance(snr) for snr in snrs for _ in mus]
         default = ([LAMBDA_LP_NOISE_RATIO * v for v in variances], [LAMBDA_L0_NOISE_RATIO * v for v in variances])
         for overrides, (lam_lp, lam_l0) in (({}, default),
                                             ({"lambda_lp": 1e-7, "lambda_l0": 2e-7}, ([1e-7] * cells, [2e-7] * cells))):
-            config = _tiny_config(snr_db=snrs, mu=mus, iterations=5, p=0.3, epsilon=0.05, beta=9.0, **overrides)
-            seen = _knobs_seen(monkeypatch, config)
+            config = _tiny_config(nr=3, snr_db=snrs, mu=mus, iterations=5, p=0.3, epsilon=0.05, beta=9.0,
+                                  **overrides)
+            seen = _knobs_seen(monkeypatch, config, realizations)
             assert len(seen) == config.iterations - 1
             expected = {"mu": [m for _ in snrs for m in mus], "lambda_lp": lam_lp, "lambda_l0": lam_l0}
             for hyper in seen:
                 assert (hyper.algorithm, hyper.p, hyper.epsilon, hyper.beta) == ("l0_nlms", 0.3, 0.05, 9.0)
                 for name, values in expected.items():
-                    got = np.broadcast_to(getattr(hyper, name), (cells, 1))
-                    assert got.tobytes() == np.array(values)[:, None].tobytes(), (overrides, name)
+                    got = getattr(hyper, name)
+                    if len(set(values)) == 1:
+                        assert type(got) is float and got == values[0], (overrides, name)
+                        continue
+                    assert got.shape == (config.nr * realizations * cells, 1), (overrides, name)
+                    # row (antenna, realization, cell) holds its cell's value, bit for bit
+                    for antenna in got.reshape(config.nr, realizations, cells):
+                        for row in antenna:
+                            assert row.tobytes() == np.array(values).tobytes(), (overrides, name)
 
 
 class TestAverageMse:
@@ -270,6 +280,10 @@ class TestConfigValidation:
             ({"seed": 1.5}, "seed"),
             ({"fading_period": 2.5}, "fading_period"),
             ({"sparsity": (1.0,)}, "k"),
+            ({"mu": ("0.5",)}, "mu"),
+            ({"snr_db": (None,)}, "snr_db"),
+            ({"p": None}, "p"),
+            ({"lambda_lp": "1e-4"}, "lambda_lp"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
@@ -293,6 +307,25 @@ class TestConfigValidation:
         counts = (config.nt, config.runs, config.fading_period, *config.sparsity)
         assert [type(count) for count in counts] == [int] * 5
         assert counts == (2, 3, 20, 1, 2)
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64])
+    def test_numpy_float_knobs_are_stored_as_float(self, real):
+        # every value is exact in float32, so the numpy knobs must give the
+        # float config's bits
+        knobs = dict(snr_db=(10.0, 20.0), mu=(0.5, 1.0), p=0.5, epsilon=0.25, beta=8.0,
+                     lambda_lp=2.0**-20, lambda_l0=2.0**-18)
+        shape = dict(algorithms=("lp_nlms", "l0_nlms"), runs=1, iterations=40)
+        plain = _tiny_config(**knobs, **shape)
+        config = _tiny_config(**{name: tuple(map(real, value)) if isinstance(value, tuple) else real(value)
+                                 for name, value in knobs.items()}, **shape)
+        stored = (*config.snr_db, *config.mu, config.p, config.epsilon, config.beta, config.lambda_lp,
+                  config.lambda_l0)
+        assert [type(value) for value in stored] == [float] * 9
+        assert config == plain
+        result, expected = run_grid(config), run_grid(plain)
+        assert result.keys() == expected.keys()
+        for key in expected:
+            assert result[key].tobytes() == expected[key].tobytes(), key
 
     def test_snr_range_edges_accepted(self):
         # finite SNRs at the edges of the range whose noise variance is a finite positive double
@@ -477,6 +510,28 @@ class TestRunGrid:
         assert result.diverged[CellKey("lms", 10.0, 1.0, 3, 2, 3)] == [0, 2, 3]
         assert result.diverged[CellKey("lms", 10.0, 1.0, 1, 2, 3)] == [0, 1, 2, 3]
         assert result.diverged[CellKey("lms", 10.0, 0.5, 3, 2, 3)] == []
+
+    def test_mixed_knobs_match_lone_cells(self, monkeypatch):
+        # one SNR under the default weights and two step sizes: one rule
+        # call takes the weights as shared floats and mu as a (rows, 1)
+        # column. lms at mu=1 drops runs 0, 2 and 3 at K=3 and every run at
+        # K=1 (seed-pinned). Every cell must come out as it does alone
+        shape = dict(nt=2, nr=3, snr_db=(10.0,), runs=4, iterations=380, seed=2, fading_period=50)
+        config = _tiny_config(algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), mu=(0.5, 1.0),
+                              sparsity=(1, 3), **shape)
+        hyper = _knobs_seen(monkeypatch, config, realizations=2)[0]
+        monkeypatch.undo()
+        assert (type(hyper.lambda_lp), type(hyper.lambda_l0)) == (float, float)
+        assert hyper.mu.shape == (config.nr * 2 * 2, 1)
+        result = run_grid(config)
+        for key in config.cell_keys():
+            alone = run_grid(_tiny_config(algorithms=(key.algorithm,), mu=(key.mu,), sparsity=(key.k,), **shape))
+            assert result.diverged[key] == alone.diverged[key], key
+            assert (key in result) == (key in alone), key
+            if key in alone:
+                assert result[key].tobytes() == alone[key].tobytes(), key
+        assert result.diverged[CellKey("lms", 10.0, 1.0, 3, 2, 3)] == [0, 2, 3]
+        assert result.diverged[CellKey("lms", 10.0, 1.0, 1, 2, 3)] == [0, 1, 2, 3]
 
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
