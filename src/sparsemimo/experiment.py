@@ -150,10 +150,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("sparsity", "snr_db", "mu", "algorithms"):
-            value = tuple(getattr(self, name))
-            key = "k" if name == "sparsity" else name
+            given, key = getattr(self, name), "k" if name == "sparsity" else name
+            try:
+                value = () if isinstance(given, str) else tuple(given)  # a str would split into letters
+            except TypeError:
+                value = ()
             if not value:
-                raise ValueError(f"{key}: at least one value is required")
+                raise ValueError(f"{key}: must be a non-empty sequence of values, got {given!r}")
             if name in ("snr_db", "mu"):
                 value = tuple(_real(name, v) for v in value)
             object.__setattr__(self, name, value)
@@ -172,11 +175,9 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _count(name, value, 0 if name == "seed" else 1))
         object.__setattr__(self, "sparsity", tuple(_count("k", k, 1, self.length) for k in self.sparsity))
         for snr in self.snr_db:
-            if math.isnan(snr) or snr == -math.inf:
-                raise ValueError(f"snr_db: {snr} is not a valid SNR (use inf for noiseless)")
             if snr != math.inf:
-                # past about +-3082.5 dB, 10 ** (snr / 10) overflows or
-                # underflows, and the variance with it
+                # NaN, -inf and anything past about +-3082.5 dB give no
+                # finite positive variance, as 10 ** (snr / 10) overflows or underflows
                 try:
                     variance = snr_to_variance(snr)
                 except (OverflowError, ZeroDivisionError):
@@ -343,8 +344,8 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     ``dataclasses.replace(config, snr_db=..., mu=...)``.
 
     Every estimate is one row of a C-contiguous ``(rows, nt * L)`` array,
-    ``nr * realizations * cells`` rows antenna-major; a knob that differs
-    between cells reaches the rule as a ``(rows, 1)`` column. The runs
+    ``nr * realizations * cells`` rows antenna-major, and each knob
+    reaches the rule as a ``(rows, 1)`` column. The runs
     advance ``BLOCK`` iterations at a time: a block's regressors, copied
     into one row each, their energies, received samples, squared errors and
     finiteness check are array operations. Per iteration run only the
@@ -365,11 +366,9 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     for name, ratio in (("lambda_lp", LAMBDA_LP_NOISE_RATIO), ("lambda_l0", LAMBDA_L0_NOISE_RATIO)):
         weight = getattr(config, name)
         knobs[name] = [ratio * v if weight is None else weight for v in variances]
-    # a knob that differs between cells becomes a (rows, 1) column, each
-    # row its cell's value, which the rule broadcasts; a shared one stays
-    # a float, which is cheaper
-    knobs = {name: values[0] if len(set(values)) == 1 else np.tile(values, nr * count)[:, None]
-             for name, values in knobs.items()}
+    # each knob a (rows, 1) column, each row its cell's value, which the
+    # rule broadcasts; a lone pair's rule takes the one value as a float
+    knobs = {name: values[0] if lone else np.tile(values, nr * count)[:, None] for name, values in knobs.items()}
     hyper = HyperParams(algorithm, p=config.p, epsilon=config.epsilon, beta=config.beta, **knobs)
     stds = np.array([math.sqrt(v) for v in variances])
     channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
@@ -410,17 +409,17 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
             # ys[j] is iteration j's received sample of every row
             ys = list((clean + (0.0 + noise[:, start:start + size].transpose(1, 2, 0)[..., None] * stds))
                       .reshape(size, rows))
-            # np.vecdot gives the bits of the one-row float(x @ x)
-            energies = np.vecdot(xs, xs).T
-            energies = energies[:, 0].tolist() if lone else list(np.tile(energies.repeat(cells, 1), nr)[..., None])
             np.copyto(regressors[:size].reshape(size, *grid), xs.transpose(1, 0, 2)[:, None, :, None])
+            # np.vecdot gives the bits of the one-row float(x @ x)
+            energies = np.vecdot(regressors[:size], regressors[:size])[..., None]
+            energies = energies[:, 0, 0].tolist() if lone else list(energies)
             for j in range(size):
                 before, x = estimate_rows[j], regressor_rows[j]
                 # np.vecdot, not @: it gives the bits of the one-row h @ x
                 np.vecdot(before, x, out=e)
                 np.subtract(ys[j], e, out=e)
                 if lone:
-                    # a lone pair: float error and energy, one call per antenna;
+                    # a lone pair: float knobs, error and energy, one call per antenna;
                     # the stacked call below gives the same bits for less, but
                     # the bench tracer's tests pin these calls (ROADMAP items 1-2)
                     for h, out, ei in zip(lone_rows[j], lone_rows[j + 1], e.tolist()):

@@ -253,6 +253,10 @@ class TestEmitCsv:
 
 
 class TestEmitSummary:
+    def test_no_traces_refused(self):
+        with pytest.raises(ValueError, match="no traces"):
+            emit_summary({})
+
     def test_verdict_lists_best_first(self):
         traces = {
             _key("nlms"): _trace([1e-2] * 10),

@@ -161,8 +161,8 @@ class TestRunSingle:
         # per cell, SNR outer: the step size, and each regularizer weight as
         # set or else its noise ratio times the cell's noise variance. The
         # rule sees one row per (antenna, realization, cell), antenna-major,
-        # and every row must carry its own cell's knob: a knob shared by all
-        # cells as one float, one that differs as a (rows, 1) column
+        # and every knob is a (rows, 1) column whose every row carries its
+        # own cell's value, a knob shared by all cells too
         snrs, mus, realizations = (5.0, 10.0, 15.0), (0.5, 1.0), 2
         cells = len(snrs) * len(mus)
         variances = [snr_to_variance(snr) for snr in snrs for _ in mus]
@@ -178,14 +178,21 @@ class TestRunSingle:
                 assert (hyper.algorithm, hyper.p, hyper.epsilon, hyper.beta) == ("l0_nlms", 0.3, 0.05, 9.0)
                 for name, values in expected.items():
                     got = getattr(hyper, name)
-                    if len(set(values)) == 1:
-                        assert type(got) is float and got == values[0], (overrides, name)
-                        continue
-                    assert got.shape == (config.nr * realizations * cells, 1), (overrides, name)
+                    assert type(got) is np.ndarray and got.shape == (config.nr * realizations * cells, 1), \
+                        (overrides, name)
                     # row (antenna, realization, cell) holds its cell's value, bit for bit
                     for antenna in got.reshape(config.nr, realizations, cells):
                         for row in antenna:
                             assert row.tobytes() == np.array(values).tobytes(), (overrides, name)
+        # a lone pair, one cell of one realization, takes its knobs as floats
+        config = _tiny_config(nr=3, snr_db=(5.0,), mu=(1.0,), iterations=5)
+        seen = _knobs_seen(monkeypatch, config)
+        assert len(seen) == config.nr * (config.iterations - 1)
+        variance = snr_to_variance(5.0)
+        for hyper in seen:
+            knobs = (hyper.mu, hyper.lambda_lp, hyper.lambda_l0)
+            assert [type(knob) for knob in knobs] == [float] * 3
+            assert knobs == (1.0, LAMBDA_LP_NOISE_RATIO * variance, LAMBDA_L0_NOISE_RATIO * variance)
 
 
 class TestAverageMse:
@@ -284,11 +291,20 @@ class TestConfigValidation:
             ({"snr_db": (None,)}, "snr_db"),
             ({"p": None}, "p"),
             ({"lambda_lp": "1e-4"}, "lambda_lp"),
+            ({"mu": 0.5}, "mu"),
+            ({"sparsity": 4}, "k"),
+            ({"snr_db": 10.0}, "snr_db"),
+            ({"algorithms": "nlms"}, "algorithms"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(**overrides)
+
+    def test_a_str_axis_is_refused_whole(self):
+        # iterating a str would split it into letters, each then refused as an unknown algorithm
+        with pytest.raises(ValueError, match="^algorithms: must be a non-empty sequence of values, got 'nlms'$"):
+            ExperimentConfig(algorithms="nlms")
 
     @pytest.mark.parametrize("key, value", [
         (key, value) for key in ("nt", "nr", "length", "runs", "iterations", "seed", "fading_period", "k")
@@ -512,26 +528,31 @@ class TestRunGrid:
         assert result.diverged[CellKey("lms", 10.0, 0.5, 3, 2, 3)] == []
 
     def test_mixed_knobs_match_lone_cells(self, monkeypatch):
-        # one SNR under the default weights and two step sizes: one rule
-        # call takes the weights as shared floats and mu as a (rows, 1)
-        # column. lms at mu=1 drops runs 0, 2 and 3 at K=3 and every run at
-        # K=1 (seed-pinned). Every cell must come out as it does alone
+        # every knob of a batched call is a (rows, 1) column, one shared by
+        # all cells too. Two inputs: one SNR under the default weights with
+        # two step sizes, where lms at mu=1 drops runs 0, 2 and 3 at K=3 and
+        # every run at K=1 (seed-pinned); and the desk shape, where every
+        # knob is shared (one SNR, one step size). Every cell must come out
+        # as it does alone
         shape = dict(nt=2, nr=3, snr_db=(10.0,), runs=4, iterations=380, seed=2, fading_period=50)
-        config = _tiny_config(algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), mu=(0.5, 1.0),
-                              sparsity=(1, 3), **shape)
-        hyper = _knobs_seen(monkeypatch, config, realizations=2)[0]
-        monkeypatch.undo()
-        assert (type(hyper.lambda_lp), type(hyper.lambda_l0)) == (float, float)
-        assert hyper.mu.shape == (config.nr * 2 * 2, 1)
-        result = run_grid(config)
-        for key in config.cell_keys():
-            alone = run_grid(_tiny_config(algorithms=(key.algorithm,), mu=(key.mu,), sparsity=(key.k,), **shape))
-            assert result.diverged[key] == alone.diverged[key], key
-            assert (key in result) == (key in alone), key
-            if key in alone:
-                assert result[key].tobytes() == alone[key].tobytes(), key
-        assert result.diverged[CellKey("lms", 10.0, 1.0, 3, 2, 3)] == [0, 2, 3]
-        assert result.diverged[CellKey("lms", 10.0, 1.0, 1, 2, 3)] == [0, 1, 2, 3]
+        diverged = {}
+        for mus in ((0.5, 1.0), (0.5,)):
+            config = _tiny_config(algorithms=("lms", "nlms", "lp_nlms", "l0_nlms"), mu=mus, sparsity=(1, 3),
+                                  **shape)
+            hyper = _knobs_seen(monkeypatch, config, realizations=2)[0]
+            monkeypatch.undo()
+            for knob in (hyper.mu, hyper.lambda_lp, hyper.lambda_l0):
+                assert knob.shape == (config.nr * 2 * len(mus), 1), mus
+            result = run_grid(config)
+            diverged[mus] = result.diverged
+            for key in config.cell_keys():
+                alone = run_grid(_tiny_config(algorithms=(key.algorithm,), mu=(key.mu,), sparsity=(key.k,), **shape))
+                assert result.diverged[key] == alone.diverged[key], key
+                assert (key in result) == (key in alone), key
+                if key in alone:
+                    assert result[key].tobytes() == alone[key].tobytes(), key
+        assert diverged[0.5, 1.0][CellKey("lms", 10.0, 1.0, 3, 2, 3)] == [0, 2, 3]
+        assert diverged[0.5, 1.0][CellKey("lms", 10.0, 1.0, 1, 2, 3)] == [0, 1, 2, 3]
 
     def test_grid_covers_full_cartesian_product(self):
         config = _tiny_config(
