@@ -114,6 +114,8 @@ def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
            energy: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The next estimate under the rule ``hyper.algorithm`` names, in ``out`` if given; ``ValueError`` for another name."""
     algorithm = hyper.algorithm
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "lms":
         c = hyper.mu * e
     else:
@@ -130,6 +132,4 @@ def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
         attractor = j_attractor(h, hyper.beta)
         attractor *= hyper.rho_l0
         out -= attractor
-    elif algorithm not in ("nlms", "lms"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     return out

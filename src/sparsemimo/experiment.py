@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,12 +89,12 @@ class CellKey(NamedTuple):
 def _count(key: str, value, floor: int = 1, ceiling: float = math.inf) -> int:
     """``value``, an integer of any type (numpy's too), as an ``int`` in ``[floor, ceiling]``.
 
-    A float fails, even a whole one; each failure raises a ``ValueError`` that names ``key``.
+    A float fails, even a whole one, and so does a bool; each failure raises
+    a ``ValueError`` that names ``key``.
     """
-    try:
-        count = int(operator.index(value))
-    except TypeError:
-        raise ValueError(f"{key}: must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key}: must be an integer, got {value!r}")
+    count = int(value)
     if not floor <= count <= ceiling:
         bounds = f"at least {floor}" if ceiling == math.inf else f"in [{floor}, {ceiling}]"
         raise ValueError(f"{key}: must be {bounds}, got {count}")
@@ -103,8 +102,8 @@ def _count(key: str, value, floor: int = 1, ceiling: float = math.inf) -> int:
 
 
 def _real(key: str, value) -> float:
-    """``value``, a real number of any type (numpy's too), as a ``float``; else a ``ValueError`` naming ``key``."""
-    if not isinstance(value, numbers.Real):
+    """``value``, a real number of any type (numpy's too) but a bool, as a ``float``; else a ``ValueError`` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key}: must be a real number, got {value!r}")
     return float(value)
 

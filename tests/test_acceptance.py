@@ -42,13 +42,11 @@ def _ss_db(traces, algorithm, snr, mu, k, nt, nr):
 
 @pytest.fixture(scope="module")
 def grid_2x2():
-    base = dict(
-        nt=2, nr=2, length=16, snr_db=(10.0,), algorithms=ALGS,
-        runs=RUNS, iterations=2000, seed=SEED,
+    config = ExperimentConfig(
+        nt=2, nr=2, length=16, sparsity=(1, 4), snr_db=(10.0,), mu=(0.5, 1.5),
+        algorithms=ALGS, runs=RUNS, iterations=2000, seed=SEED,
     )
-    slow = run_grid(ExperimentConfig(sparsity=(1, 4), mu=(0.5,), **base), workers=WORKERS)
-    fast = run_grid(ExperimentConfig(sparsity=(1,), mu=(1.5,), **base), workers=WORKERS)
-    return {**dict(slow), **dict(fast)}
+    return run_grid(config, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,8 @@ from sparsemimo.experiment import (
     steady_state_mse,
 )
 
+from oracles import reference_squared_errors
+
 
 def _tiny_config(**overrides):
     base = dict(
@@ -194,6 +196,41 @@ class TestRunSingle:
             assert [type(knob) for knob in knobs] == [float] * 3
             assert knobs == (1.0, LAMBDA_LP_NOISE_RATIO * variance, LAMBDA_L0_NOISE_RATIO * variance)
 
+    # relative tolerance against the Python-float reference: the two sum in
+    # different orders, so they may differ in the last bits, and the runs
+    # carry those differences along (to at most 2.5e-14 in these cases). A
+    # strong Lp penalty amplifies them: at p = 0.45, epsilon = 0.05 and
+    # lambda_lp = 5e-4, the reference summed by math.fsum differs from
+    # itself by 26 %, so case 12 keeps lambda_lp at 5e-5
+    REFERENCE_RTOL = 1e-9
+
+    @pytest.mark.parametrize("seed, algorithm, overrides", [
+        (1, "nlms", dict(sparsity=(1, 4))),
+        (2, "lp_nlms", dict(nt=1, nr=3, snr_db=(5.0, 20.0), mu=(0.5, 1.0))),
+        (3, "l0_nlms", dict(nt=3, nr=1, sparsity=(1, 3), generator="bpsk")),
+        (4, "lms", dict(nr=3, sparsity=(2,), mu=(0.02, 0.05), generator="ofdm")),
+        (5, "lp_nlms", dict(nt=3, sparsity=(1, 2), fading_period=20, p=1.0, lambda_lp=1e-3)),
+        (6, "l0_nlms", dict(nt=1, nr=1, fading_period=50, generator="bpsk", lambda_l0=2e-3)),
+        (7, "nlms", dict(nt=1, mu=(1.5,), fading_period=64, generator="ofdm")),
+        (8, "lms", dict(nt=1, nr=2, sparsity=(1, 2), mu=(0.05,), fading_period=30)),
+        (9, "lp_nlms", dict(nt=1, nr=1, generator="bpsk", p=1.0)),
+        (10, "l0_nlms", dict(nt=3, nr=3, sparsity=(3,), generator="ofdm", beta=5.0)),
+        (11, "nlms", dict(nt=3, nr=3, sparsity=(1, 2), snr_db=(0.0, 15.0), generator="bpsk", fading_period=40)),
+        (12, "lp_nlms", dict(nt=2, nr=3, sparsity=(2,), generator="ofdm", lambda_lp=5e-5, epsilon=0.05)),
+    ])
+    def test_runs_match_the_reference_run(self, seed, algorithm, overrides):
+        # every cell of every K against a Python-float restatement that
+        # shares only draw_run's draws with the simulator
+        config = _tiny_config(seed=seed, length=6, iterations=200, algorithms=(algorithm,), **overrides)
+        draws = [draw_run(config, k, 0) for k in config.sparsity]
+        squared, finite = run_single(draws, config, algorithm)
+        assert finite.all()
+        cells = [(snr, mu) for snr in config.snr_db for mu in config.mu]
+        for realization, draw in enumerate(draws):
+            for cell, (snr, mu) in enumerate(cells):
+                reference = reference_squared_errors(draw, config, algorithm, snr, mu)
+                np.testing.assert_allclose(squared[realization, cell], reference, rtol=self.REFERENCE_RTOL, atol=0)
+
 
 class TestAverageMse:
     def test_single_run_is_identity(self, monkeypatch):
@@ -295,6 +332,12 @@ class TestConfigValidation:
             ({"sparsity": 4}, "k"),
             ({"snr_db": 10.0}, "snr_db"),
             ({"algorithms": "nlms"}, "algorithms"),
+            ({"nt": True}, "nt"),
+            ({"runs": True}, "runs"),
+            ({"seed": False}, "seed"),
+            ({"sparsity": (True,)}, "k"),
+            ({"mu": (True,)}, "mu"),
+            ({"p": True}, "p"),
         ],
     )
     def test_invalid_values_name_the_key(self, overrides, key):
@@ -357,8 +400,9 @@ class TestConfigValidation:
     def test_explicit_lambda_overrides_rule(self, monkeypatch):
         config = _tiny_config(snr_db=(5.0,), iterations=2, lambda_lp=1e-7, lambda_l0=2e-7)
         hyper = _knobs_seen(monkeypatch, config)[0]
-        assert hyper.lambda_lp == 1e-7
-        assert hyper.lambda_l0 == 2e-7
+        # whatever shape the rule gets its knobs in, every value is the explicit one
+        assert np.all(np.asarray(hyper.lambda_lp) == 1e-7)
+        assert np.all(np.asarray(hyper.lambda_l0) == 2e-7)
 
 
 class TestRunGrid:
@@ -587,8 +631,10 @@ class TestRunGrid:
         assert sizes == [3]
 
     def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_grid(_tiny_config(), workers=0)
+        # True is an int to Python, but no worker count
+        for workers in (0, True):
+            with pytest.raises(ValueError, match="^workers: "):
+                run_grid(_tiny_config(), workers=workers)
 
     def test_fractional_worker_count_rejected_before_any_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
