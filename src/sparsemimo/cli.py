@@ -292,6 +292,8 @@ def manifest_path_for(out_path) -> Path:
 
 def replay_manifest(manifest_path, out_path, workers: int = 1) -> GridResult:
     """Re-run the experiment recorded in a manifest and rewrite its CSV."""
+    if Path(out_path).resolve() == Path(manifest_path).resolve():
+        raise ValueError(f"out_path: {out_path} is the manifest itself")
     manifest = RunManifest.load(manifest_path)
     result = run_grid(manifest.experiment_config(), workers=workers)
     emit_csv(result, out_path)

@@ -200,8 +200,8 @@ class ExperimentConfig:
             raise ValueError(f"p: must lie in (0, 1], got {self.p}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon: must be finite and positive, got {self.epsilon}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta: must be finite and positive, got {self.beta}")
+        if not (0 < self.beta and 2.0 * self.beta * self.beta < math.inf):  # beta * beta: inf, where ** raises
+            raise ValueError(f"beta: must be positive with 2 * beta**2 finite (up to about 9.48e153), got {self.beta}")
 
     def cell_keys(self) -> list[CellKey]:
         return [

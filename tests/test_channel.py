@@ -25,18 +25,6 @@ def test_unit_norm_and_support(sparsity):
     assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_one_sparse_tap_has_unit_magnitude():
-    rng = np.random.default_rng(11)
-    taps = generate_sparse_channel(L, 1, rng)
-    assert abs(taps[np.flatnonzero(taps)[0]]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_generation_is_bit_reproducible():
-    a = generate_sparse_channel(L, 4, np.random.default_rng(42))
-    b = generate_sparse_channel(L, 4, np.random.default_rng(42))
-    assert a.tobytes() == b.tobytes()
-
-
 def test_support_positions_cover_all_indices():
     # over many draws every tap index should occur in some support
     rng = np.random.default_rng(5)
@@ -127,12 +115,6 @@ def test_assemble_matches_raw_draws(nt, nr, length, sparsity):
         assert rng.bit_generator.state == raw_rng.bit_generator.state
 
 
-def _links(nt, nr, length, sparsity, seed):
-    """The links drawn one by one from the same seed, ``links[rx][tx]``."""
-    rng = np.random.default_rng(seed)
-    return [[generate_sparse_channel(length, sparsity, rng) for _ in range(nt)] for _ in range(nr)]
-
-
 @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (1, 1)])
 def test_assemble_grid_shape_and_energy(nt, nr):
     rows = assemble_mimo_channel(nt, nr, L, 4, np.random.default_rng(9))
@@ -148,27 +130,3 @@ def test_assemble_rejects_bad_antenna_counts():
     with pytest.raises(ValueError):
         assemble_mimo_channel(2, 0, L, 1, rng)
 
-
-def test_miso_row_is_transmit_major_concatenation():
-    rows = assemble_mimo_channel(2, 4, L, 3, np.random.default_rng(17))
-    # independent construction: the links drawn rx outer, tx inner, then
-    # concatenated per receive antenna in plain python
-    links = _links(2, 4, L, 3, 17)
-    for rx in range(4):
-        expected = np.concatenate([links[rx][tx] for tx in range(2)])
-        assert rows[rx].shape == (2 * L,)
-        assert np.array_equal(rows[rx], expected)
-
-
-def test_miso_row_index_formula():
-    rows = assemble_mimo_channel(3, 2, 5, 2, np.random.default_rng(23))
-    links = _links(3, 2, 5, 2, 23)
-    for rx in range(2):
-        for tx in range(3):
-            for l in range(5):
-                assert rows[rx, tx * 5 + l] == links[rx][tx][l]
-
-
-def test_miso_row_single_antenna_is_the_link():
-    rows = assemble_mimo_channel(1, 1, L, 2, np.random.default_rng(2))
-    assert np.array_equal(rows[0], generate_sparse_channel(L, 2, np.random.default_rng(2)))

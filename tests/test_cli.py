@@ -339,6 +339,17 @@ class TestMainAndManifest:
         replay_manifest(manifest, tmp_path / "replay.csv")
         assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
 
+    def test_replay_over_its_manifest_refused_before_the_grid_runs(self, tmp_path, monkeypatch):
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 0
+        manifest = manifest_path_for(tmp_path / "res.csv")
+        before = manifest.read_bytes()
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        # another spelling of the same file
+        out = tmp_path / ".." / tmp_path.name / manifest.name
+        with pytest.raises(ValueError, match=f"^out_path: {re.escape(str(out))} is the manifest itself$"):
+            replay_manifest(manifest, out)
+        assert manifest.read_bytes() == before
+
     def test_failed_manifest_dump_leaves_the_previous_file(self, tmp_path, monkeypatch):
         def manifest(seed):
             return RunManifest(config={"seed": seed}, version="0", seed=seed, started="start", finished="end",

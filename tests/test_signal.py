@@ -7,7 +7,6 @@ import pytest
 
 from sparsemimo import experiment
 from sparsemimo.channel import assemble_mimo_channel
-from sparsemimo.estimator import HyperParams, update
 from sparsemimo.experiment import (
     GENERATOR_KINDS,
     SUBCARRIERS,
@@ -74,12 +73,6 @@ class TestTrainingGenerator:
     def test_unit_power(self, kind):
         draws = _training(kind, 1, 100_000, seed=1)[:, 0]
         assert np.mean(draws**2) == pytest.approx(1.0, rel=0.02)
-
-    def test_ofdm_consumes_blocks_deterministically(self):
-        sa = _training("ofdm", 2, 150, seed=5)  # spans three 64-sample blocks
-        sb = _training("ofdm", 2, 150, seed=5)
-        assert np.array_equal(sa, sb)
-        assert np.isfinite(sa).all()
 
     @pytest.mark.parametrize("fading_period", [None, 43])
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -148,56 +141,7 @@ def _noise_only_run(snr_db, seed, iterations=20_000):
     return squared[0, 0]
 
 
-def _naive_run(rows, nt, length, snr_db, iterations, hyper, seed):
-    """Plain-python reference run with its own sample history.
-
-    The received sample is the convolution
-    ``y_r(n) = sum_t sum_l h[r][t][l] * s(n - l)[t] + z_r(n)``, computed from
-    the raw history, independent of any delay-line layout. The regressor
-    handed to the rule is rebuilt from the same history: per transmit
-    antenna its last ``length`` samples, newest first, zero before the
-    start. The draw order is the documented one: training, then noise.
-    """
-    rng = np.random.default_rng(seed)
-    std = math.sqrt(snr_to_variance(snr_db))
-    nr = rows.shape[0]
-    estimates = [np.zeros(nt * length) for _ in range(nr)]
-    history = []
-    squared = [float(np.sum(rows * rows))]
-    for n in range(iterations - 1):
-        history.append(rng.standard_normal(nt))
-        noise = rng.normal(0.0, std, nr)
-        x = np.array([
-            history[n - l][t] if n - l >= 0 else 0.0 for t in range(nt) for l in range(length)
-        ])
-        total = 0.0
-        for r in range(nr):
-            y = noise[r]
-            for t in range(nt):
-                for l in range(min(length, n + 1)):
-                    y += rows[r, t * length + l] * history[n - l][t]
-            h = estimates[r]
-            estimates[r] = update(hyper, h, x, y - float(h @ x), float(x @ x))
-            total += float(np.sum((rows[r] - estimates[r]) ** 2))
-        squared.append(total)
-    return np.array(squared)
-
-
 class TestSystemOutput:
-    def test_matches_naive_convolution_oracle(self):
-        nt, nr, length, iterations = 2, 2, 4, 30
-        config = ExperimentConfig(nt=nt, nr=nr, length=length, sparsity=(2,), snr_db=(10.0,), mu=(0.5,),
-                                  iterations=iterations, lambda_l0=1e-2)
-        draws = draw_run(config, 2, 0)
-        seed = experiment._realization_seed(config, 2, 0, experiment._STREAM_LOOP)
-        for algorithm in ("nlms", "l0_nlms"):
-            squared, finite = run_single([draws], config, algorithm)
-            assert finite.all()
-            got = squared[0, 0]
-            hyper = HyperParams(algorithm, mu=0.5, lambda_l0=1e-2)
-            expected = _naive_run(draws[0][0], nt, length, 10.0, iterations, hyper, seed=seed)
-            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
-
     def test_identity_channel_passes_sample_through(self):
         # noiseless y(1) = s(1): a single NLMS step with mu=1 from the
         # all-zero cold start then recovers the channel up to NLMS_DELTA
