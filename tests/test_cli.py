@@ -442,6 +442,14 @@ class TestMainAndManifest:
         assert "beta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta", ["1.35e154", "1e200"])
+    def test_beta_whose_square_overflows_refused_before_the_grid_runs(self, tmp_path, capsys, beta):
+        # 2 * beta**2 is inf, or raises OverflowError under **, in the first l0_nlms update
+        out = tmp_path / "res.csv"
+        assert main(TINY_ARGS + ["--algorithms", "l0_nlms", "--beta", beta, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: beta: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("snr", ["3083", "4000", "-4000", "-3100"])
     def test_snr_without_finite_noise_variance_refused(self, tmp_path, capsys, snr):
         # 1 / 10 ** (snr / 10) overflows, divides by zero or comes out inf

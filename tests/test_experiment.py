@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -54,6 +55,8 @@ def _lone_curve(draws, config, algorithm="nlms"):
 _AXES = ("algorithms", "snr_db", "mu", "sparsity")
 # a grid of one value per split axis, built once however many cases compare against it
 _grid_alone = functools.cache(run_grid)
+# the largest float whose 2 * beta**2 is finite, the largest beta a config accepts
+_LARGEST_BETA = math.sqrt(sys.float_info.max / 2)
 
 
 def _knobs_seen(monkeypatch, config, realizations=1):
@@ -360,6 +363,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(**overrides)
 
+    def test_beta_bound_is_the_last_float_with_two_beta_squared_finite(self):
+        assert 2.0 * _LARGEST_BETA * _LARGEST_BETA < math.inf
+        assert ExperimentConfig(beta=_LARGEST_BETA).beta == _LARGEST_BETA
+        above = math.nextafter(_LARGEST_BETA, math.inf)
+        assert 2.0 * above * above == math.inf
+        with pytest.raises(ValueError, match="^beta: "):
+            ExperimentConfig(beta=above)
+
     def test_a_str_axis_is_refused_whole(self):
         # iterating a str would split it into letters, each then refused as an unknown algorithm
         with pytest.raises(ValueError, match="^algorithms: must be a non-empty sequence of values, got 'nlms'$"):
@@ -472,6 +483,16 @@ class TestRunGrid:
             CellKey("nlms", 10.0, 0.5, 1, 2, 2): [],
         }
         assert list(result) == [CellKey("nlms", 10.0, 0.5, 1, 2, 2)]
+
+    def test_l0_at_the_largest_beta_is_plain_nlms(self):
+        # a band |h| <= 1/beta of about 1e-154 holds only the cold start's
+        # zero taps, where the attractor is 0: no run is dropped, and l0_nlms
+        # reproduces nlms bit for bit
+        config = _tiny_config(algorithms=("nlms", "l0_nlms"), beta=_LARGEST_BETA)
+        result = run_grid(config)
+        nlms, l0 = CellKey("nlms", 10.0, 0.5, 1, 2, 2), CellKey("l0_nlms", 10.0, 0.5, 1, 2, 2)
+        assert result.diverged == {nlms: [], l0: []}
+        assert result[l0].tobytes() == result[nlms].tobytes()
 
     def test_partially_diverged_runs_are_excluded_from_mean(self):
         # at this horizon only run 0 has overflowed yet (seed-pinned)
