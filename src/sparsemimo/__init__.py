@@ -21,7 +21,6 @@ from .experiment import (
     GridResult,
     draw_run,
     first_iteration_below,
-    ofdm_time_samples,
     run_grid,
     run_single,
     snr_to_variance,
@@ -33,7 +32,6 @@ __all__ = [
     "ALGORITHMS",
     "GENERATOR_KINDS",
     "assemble_mimo_channel",
-    "ofdm_time_samples",
     "snr_to_variance",
     "HyperParams",
     "update",

@@ -275,10 +275,22 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(**_exact_keys(json.loads(Path(path).read_text(encoding="utf-8")), cls))
 
     def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(**self.config)
+        return ExperimentConfig(**_exact_keys(self.config, ExperimentConfig, "config"))
+
+
+def _exact_keys(values: dict, cls, name: str = "") -> dict:
+    """``values``, at manifest key ``name`` ("" for the file), if a dict keyed by ``cls``'s fields; else a ``ValueError``."""
+    if not isinstance(values, dict):
+        raise ValueError(f"manifest: {name or 'the file'} must be a JSON object, got {type(values).__name__}")
+    fields, prefix = {field.name for field in dataclasses.fields(cls)}, f"{name}." if name else ""
+    problems = [f"{kind} key {prefix}{key}" for kind, keys in (("unknown", values.keys() - fields),
+                                                              ("missing", fields - values.keys())) for key in sorted(keys)]
+    if problems:
+        raise ValueError("manifest: " + ", ".join(problems))
+    return values
 
 
 def _key_string(key: CellKey) -> str:

@@ -56,7 +56,6 @@ __all__ = [
     "GridResult",
     "draw_run",
     "first_iteration_below",
-    "ofdm_time_samples",
     "run_grid",
     "run_single",
     "snr_to_variance",
@@ -231,18 +230,6 @@ def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -
     )
 
 
-def ofdm_time_samples(freq_symbols) -> np.ndarray:
-    """Unitary inverse DFT of blocks of frequency-domain symbols, along the last axis.
-
-    The 1/sqrt(C) scaling preserves total power (Parseval), so unit-power
-    frequency symbols yield unit average power in the time domain.
-    """
-    symbols = np.asarray(freq_symbols, dtype=np.complex128)
-    if symbols.ndim == 0 or symbols.shape[-1] == 0:
-        raise ValueError("freq_symbols must hold non-empty blocks along its last axis")
-    return np.fft.ifft(symbols, axis=-1) * math.sqrt(symbols.shape[-1])
-
-
 def snr_to_variance(snr_db: float) -> float:
     """Noise power for a given SNR in dB at unit signal power; ``inf`` maps to the noiseless 0."""
     return 1.0 / 10.0 ** (snr_db / 10.0)
@@ -313,7 +300,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
         training[1:] = np.where(uniforms[1:] >= 0.5, 1.0, -1.0)
     elif kind == "ofdm" and ofdm_bits:
         re, im = (np.array(bits) * 2.0 - 1.0 for bits in zip(*ofdm_bits))
-        blocks = ofdm_time_samples((re + 1j * im) / math.sqrt(2.0)).real * math.sqrt(2.0)
+        blocks = (np.fft.ifft((re + 1j * im) / math.sqrt(2.0), axis=-1) * math.sqrt(SUBCARRIERS)).real * math.sqrt(2.0)
         # (blocks, nt, SUBCARRIERS) -> samples in time order, one row each
         training[1:] = blocks.transpose(0, 2, 1).reshape(-1, nt)[:iterations - 1]
     return np.stack(channels), training, noise

@@ -49,6 +49,10 @@ def _oracle_csv(traces, path):
                 handle.write(f"{prefix},{i},{value!r},{level!r}\n")
 
 
+def _without(data, key):
+    return {name: value for name, value in data.items() if name != key}
+
+
 TINY_ARGS = [
     "--runs", "2", "--iterations", "40", "--length", "8",
     "--snr-db", "10", "--mu", "0.5", "--k", "1", "--algorithms", "nlms,l0_nlms",
@@ -349,6 +353,26 @@ class TestMainAndManifest:
         with pytest.raises(ValueError, match=f"^out_path: {re.escape(str(out))} is the manifest itself$"):
             replay_manifest(manifest, out)
         assert manifest.read_bytes() == before
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda data: {**data, "host": "ci-runner"}, "unknown key host"),
+        (lambda data: _without(data, "finished"), "missing key finished"),
+        (lambda data: {**data, "config": {**data["config"], "alpha": 0.9}}, "unknown key config.alpha"),
+        (lambda data: {**_without(data, "started"), "host": "ci-runner"}, "unknown key host, missing key started"),
+        (lambda data: {**data, "config": _without(data["config"], "beta")}, "missing key config.beta"),
+        (lambda data: list(data), "the file must be a JSON object, got list"),
+        (lambda data: {**data, "config": list(data["config"])}, "config must be a JSON object, got list"),
+    ], ids=["extra", "missing", "config-extra", "extra-and-missing", "config-missing", "list", "config-list"])
+    def test_replay_of_a_manifest_with_other_keys_names_them(self, tmp_path, monkeypatch, edit, named):
+        # a manifest written by another version of the program is refused
+        # by its keys, before the grid runs or any output is written
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 0
+        manifest = manifest_path_for(tmp_path / "res.csv")
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text(encoding="utf-8")))), encoding="utf-8")
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        with pytest.raises(ValueError, match=f"^manifest: {named}$"):
+            replay_manifest(manifest, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
 
     def test_failed_manifest_dump_leaves_the_previous_file(self, tmp_path, monkeypatch):
         def manifest(seed):

@@ -12,7 +12,6 @@ from sparsemimo.experiment import (
     SUBCARRIERS,
     ExperimentConfig,
     draw_run,
-    ofdm_time_samples,
     run_single,
     snr_to_variance,
 )
@@ -52,7 +51,9 @@ def _reference_draws(config, k, run):
                 re = rng.integers(0, 2, (nt, SUBCARRIERS)) * 2.0 - 1.0
                 im = rng.integers(0, 2, (nt, SUBCARRIERS)) * 2.0 - 1.0
                 symbols = (re + 1j * im) / math.sqrt(2.0)
-                block = np.stack([ofdm_time_samples(symbols[t]) for t in range(nt)]).real * math.sqrt(2.0)
+                # each antenna's unitary inverse DFT, one block at a time
+                time = [np.fft.ifft(symbols[t]) * math.sqrt(SUBCARRIERS) for t in range(nt)]
+                block = np.stack(time).real * math.sqrt(2.0)
                 cursor = 0
             sample = block[:, cursor]
             cursor += 1
@@ -87,32 +88,6 @@ class TestTrainingGenerator:
         assert len(got[0]) == (5 if fading_period else 1)  # redraws at 43, 86, 129, 172
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
-
-
-class TestOfdmTimeSamples:
-    def test_all_ones_is_scaled_impulse(self):
-        time = ofdm_time_samples(np.ones(4))
-        assert np.allclose(time, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_single_tone_is_shifted_impulse(self):
-        c, q = 8, 3
-        tone = np.exp(2j * np.pi * q * np.arange(c) / c)
-        time = ofdm_time_samples(tone)
-        expected = np.zeros(c, dtype=complex)
-        expected[(c - q) % c] = math.sqrt(c)
-        assert np.allclose(time, expected, atol=1e-12)
-
-    def test_parseval_power_preserved(self):
-        rng = np.random.default_rng(13)
-        # unit-modulus QPSK symbols: total power is the block length exactly
-        symbols = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, 64)))
-        time = ofdm_time_samples(symbols)
-        assert np.sum(np.abs(time) ** 2) == pytest.approx(np.sum(np.abs(symbols) ** 2), abs=1e-9)
-        assert np.mean(np.abs(time) ** 2) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            ofdm_time_samples(np.array([]))
 
 
 class TestNoise:
