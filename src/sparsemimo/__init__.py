@@ -12,7 +12,6 @@ tool for batch runs.
 
 __version__ = "0.1.0"
 
-from .channel import assemble_mimo_channel
 from .estimator import ALGORITHMS, HyperParams, update
 from .experiment import (
     GENERATOR_KINDS,
@@ -31,7 +30,6 @@ __all__ = [
     "__version__",
     "ALGORITHMS",
     "GENERATOR_KINDS",
-    "assemble_mimo_channel",
     "snr_to_variance",
     "HyperParams",
     "update",

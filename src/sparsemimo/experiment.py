@@ -6,8 +6,12 @@ from the master seed and the data-relevant cell parameters only, so every
 algorithm, step size, and SNR sees the same realizations within a run
 index (paired common random numbers) and any cell can be re-run in
 isolation, bit-identically, regardless of scheduling or worker count.
-The module also defines what a run draws: the training ``GENERATOR_KINDS``
-of :func:`draw_run`, and the SNR convention of :func:`snr_to_variance`.
+The module also defines what a run draws: the sparse channel and training
+``GENERATOR_KINDS`` of :func:`draw_run`, and the SNR convention of
+:func:`snr_to_variance`. A channel is an ``(nr, nt * L)`` array, row ``r``
+receive antenna ``r``'s MISO row: ``rows[r, t * L + l]`` is tap ``l`` from
+transmit antenna ``t``. Each link has K nonzero taps (``np.flatnonzero``),
+uniform positions, Gaussian values, no exact zero, and unit energy.
 
 Because those realizations are shared, a run is drawn once per K: its
 channel epochs, training stream and unit-scale noise come from one pass
@@ -44,7 +48,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import assemble_mimo_channel
 from .estimator import ALGORITHMS, HyperParams, update
 
 __all__ = [
@@ -235,17 +238,37 @@ def snr_to_variance(snr_db: float) -> float:
     return 1.0 / 10.0 ** (snr_db / 10.0)
 
 
+def _draw_links(taps: np.ndarray, k: int, rng: np.random.Generator) -> None:
+    """Draw one epoch into ``taps``, zeroed ``(nr * nt, L)``: row ``r * nt + t`` links tx ``t`` to rx ``r``."""
+    links, length = taps.shape
+    positions = np.empty((links, k), dtype=np.intp)
+    values = np.empty((links, k))
+    for i in range(links):
+        positions[i] = rng.choice(length, size=k, replace=False)
+        link = values[i]
+        rng.standard_normal(out=link)
+        # an exact zero would shrink the support; redraw it (a list's all() is link.all(), for less)
+        while not all(link.tolist()):
+            zero = link == 0.0
+            link[zero] = rng.standard_normal(int(zero.sum()))
+    # only the draws run per link; np.vecdot gives each row the bits of the 1-D link @ link
+    values /= np.sqrt(np.vecdot(values, values))[:, None]
+    taps[np.arange(links)[:, None], positions] = values
+
+
 def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every draw of run ``run`` at sparsity ``k``, seeded from the config.
 
-    The first ``(nr, nt * L)`` channel comes from the run's channel stream;
-    every later draw from its loop stream, in this order per iteration
-    ``n >= 1``: a new channel when a fading period starts
-    (``n % fading_period == 0``), one training sample per transmit antenna,
+    ``k`` must be an integer in ``[1, L]``, else a ``ValueError`` names it.
+    A channel draws its links rx outer, tx inner: K uniform positions
+    without replacement, K standard normal values, again for any exact
+    zero, then unit-energy scaling. The first channel comes from the run's
+    channel stream; every later draw from its loop stream, in this order
+    per iteration ``n >= 1``: a new channel when a fading period starts
+    (``n % fading_period == 0``), one training sample per transmit antenna
     and one unit-scale noise sample per receive antenna. Only the config's
-    draw parameters are read: seed, antenna counts, L, iterations,
-    generator and fading period. A training sample is real, of one of the
-    ``GENERATOR_KINDS``:
+    draw parameters are read (seed, antenna counts, L, iterations,
+    generator, fading period). A training sample is real, of these kinds:
 
     * ``gaussian`` -- zero-mean unit-power normal samples (default).
     * ``bpsk``     -- equiprobable +/-1.
@@ -262,12 +285,12 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     draw and row 0 zeros, as the cold start draws nothing.
     """
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
-    kind = config.generator
-    rows = assemble_mimo_channel(
-        nt, nr, length, k, np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)))
-    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+    kind, k = config.generator, _count("k", k, 1, length)
     period = config.fading_period or iterations
-    channels = [rows]
+    # every epoch's links, drawn in place; reshaped to (nr, nt * L) rows on return
+    channels = np.zeros((1 + (iterations - 1) // period, nr * nt, length))
+    _draw_links(channels[0], k, np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)))
+    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
     training = np.zeros((iterations, nt))
     noise = np.zeros((iterations, nr))
     uniforms = np.zeros((iterations, nt), dtype=np.float32) if kind == "bpsk" else None
@@ -278,7 +301,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     bounds = sorted({*range(1, iterations, step), *range(period, iterations, period)}) + [iterations]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if start % period == 0:
-            channels.append(assemble_mimo_channel(nt, nr, length, k, rng))
+            _draw_links(channels[start // period], k, rng)
         if kind == "gaussian":
             block = rng.standard_normal((stop - start, nt + nr))
             training[start:stop] = block[:, :nt]
@@ -303,7 +326,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
         blocks = (np.fft.ifft((re + 1j * im) / math.sqrt(2.0), axis=-1) * math.sqrt(SUBCARRIERS)).real * math.sqrt(2.0)
         # (blocks, nt, SUBCARRIERS) -> samples in time order, one row each
         training[1:] = blocks.transpose(0, 2, 1).reshape(-1, nt)[:iterations - 1]
-    return np.stack(channels), training, noise
+    return channels.reshape(-1, nr, nt * length), training, noise
 
 
 def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: ExperimentConfig,

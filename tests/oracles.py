@@ -1,8 +1,22 @@
-"""Reference formulas the tests check the update rules and the runs against, written once."""
+"""Reference formulas the tests check the channel draws, the update rules and the runs against, written once."""
 
 import math
 
 import numpy as np
+
+
+def raw_rows(nt, nr, length, sparsity, rng):
+    """The ``(nr, nt * L)`` channel from raw rng calls in a plain loop, rx outer and tx inner."""
+    rows = np.zeros((nr, nt * length))
+    for rx in range(nr):
+        for tx in range(nt):
+            positions = rng.choice(length, size=sparsity, replace=False)
+            values = rng.standard_normal(sparsity)
+            assert values.all()  # no exact-zero draw at the seeds the tests use
+            scale = math.sqrt(values @ values)
+            for position, value in zip(positions.tolist(), values.tolist()):
+                rows[rx, tx * length + position] = value / scale
+    return rows
 
 
 def l0_approx_norm(h, beta):

@@ -1,4 +1,4 @@
-"""Tests for training generation, SNR conversion, and the received signal."""
+"""Tests for a run's draws: the sparse channel, the training stream, SNR conversion and the received signal."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sparsemimo import experiment
-from sparsemimo.channel import assemble_mimo_channel
 from sparsemimo.experiment import (
     GENERATOR_KINDS,
     SUBCARRIERS,
@@ -15,6 +14,116 @@ from sparsemimo.experiment import (
     run_single,
     snr_to_variance,
 )
+
+from oracles import raw_rows
+
+L = 16
+
+
+def _channel(nt, nr, length, sparsity, rng):
+    """One ``(nr, nt * L)`` channel epoch from the per-link draw ``draw_run`` uses."""
+    taps = np.zeros((nr * nt, length))
+    experiment._draw_links(taps, sparsity, rng)
+    return taps.reshape(nr, nt * length)
+
+
+class _ZeroAtRng:
+    """Stub rng whose Gaussian draw number ``zero_call`` is all zeros.
+
+    Every other Gaussian draw number ``c`` is ``c, c + 1, ...``, so a link's
+    values name the draw they came from; ``log`` lists every call in order.
+    """
+
+    def __init__(self, zero_call):
+        self.zero_call = zero_call
+        self.gaussian_calls = 0
+        self.log = []
+
+    def choice(self, n, size, replace):
+        assert not replace
+        self.log.append("choice")
+        return np.arange(size)
+
+    def standard_normal(self, size=None, out=None):
+        size = size if out is None else out.size
+        self.gaussian_calls += 1
+        self.log.append(("normal", size))
+        zero = self.gaussian_calls == self.zero_call
+        draw = np.zeros(size) if zero else self.gaussian_calls + np.arange(size, dtype=float)
+        if out is None:
+            return draw
+        out[:] = draw
+        return out
+
+
+class TestChannel:
+    """The sparse channel that ``draw_run`` draws, one epoch at a time."""
+
+    @pytest.mark.parametrize("sparsity", [1, 4, 16])
+    def test_unit_norm_and_support(self, sparsity):
+        taps = _channel(1, 1, L, sparsity, np.random.default_rng(3))[0]
+        assert taps.shape == (L,)
+        assert taps.dtype == np.float64
+        assert np.flatnonzero(taps).size == sparsity
+        assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_support_positions_cover_all_indices(self):
+        # over many draws every tap index should occur in some support
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(300):
+            seen.update(np.flatnonzero(_channel(1, 1, L, 2, rng)).tolist())
+        assert seen == set(range(L))
+
+    def test_exact_zero_draws_are_redrawn(self):
+        rng = _ZeroAtRng(zero_call=1)
+        taps = _channel(1, 1, 8, 3, rng)[0]
+        assert rng.gaussian_calls == 2
+        assert np.count_nonzero(taps) == 3
+        assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_draw_in_a_middle_link_redraws_only_that_link(self):
+        # 3x3 links, K=2: link 4 is the middle one and takes Gaussian draw 5
+        rng = _ZeroAtRng(zero_call=5)
+        rows = _channel(3, 3, 4, 2, rng)
+        link = ["choice", ("normal", 2)]
+        assert rng.log == link * 4 + link + [("normal", 2)] + link * 4
+        # links 0..3 take draws 1..4, link 4 its redraw 6, links 5..8 draws 7..10
+        for index, draw in enumerate([1, 2, 3, 4, 6, 7, 8, 9, 10]):
+            rx, tx = divmod(index, 3)
+            expected = np.zeros(4)
+            expected[:2] = [draw, draw + 1]
+            expected /= math.sqrt(expected @ expected)
+            assert rows[rx, tx * 4:(tx + 1) * 4].tobytes() == expected.tobytes(), index
+
+    @pytest.mark.parametrize(
+        "nt,nr,length,sparsity",
+        [(1, 1, 16, 4), (1, 1, 16, 16), (2, 3, 1, 1), (3, 2, 5, 5), (4, 4, 64, 4), (4, 4, 64, 64)],
+    )
+    def test_matches_raw_draws(self, nt, nr, length, sparsity):
+        for seed in range(60):
+            rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = _channel(nt, nr, length, sparsity, rng)
+            assert rows.tobytes() == raw_rows(nt, nr, length, sparsity, raw_rng).tobytes(), seed
+            # both consumed the same stretch of the stream
+            assert rng.bit_generator.state == raw_rng.bit_generator.state
+
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (1, 1)])
+    def test_every_fading_epoch_has_k_sparse_unit_energy_links(self, nt, nr):
+        config = ExperimentConfig(nt=nt, nr=nr, length=L, sparsity=(4,), iterations=200, fading_period=20)
+        channels = draw_run(config, 4, 0)[0]
+        assert channels.shape == (10, nr, nt * L)
+        assert channels.dtype == np.float64
+        links = channels.reshape(10, nr, nt, L)
+        assert (np.count_nonzero(links, axis=-1) == 4).all()
+        np.testing.assert_allclose(np.sum(links**2, axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert len({epoch.tobytes() for epoch in channels}) == 10  # every epoch a fresh draw
+
+    @pytest.mark.parametrize("k", [0, L + 1, -1, 1.0, True])
+    def test_draw_run_refuses_k_outside_its_range(self, k):
+        config = ExperimentConfig(length=L, iterations=5)
+        with pytest.raises(ValueError, match=r"^k: "):
+            draw_run(config, k, 0)
 
 
 def _training(kind, nt, samples, seed):
@@ -35,13 +144,13 @@ def _reference_draws(config, k, run):
     """
     nt, nr, length = config.nt, config.nr, config.length
     seed = experiment._realization_seed(config, k, run, experiment._STREAM_CHANNEL)
-    rows = assemble_mimo_channel(nt, nr, length, k, np.random.default_rng(seed))
+    rows = raw_rows(nt, nr, length, k, np.random.default_rng(seed))
     rng = np.random.default_rng(experiment._realization_seed(config, k, run, experiment._STREAM_LOOP))
     channels, training, noise = [rows], [np.zeros(nt)], [np.zeros(nr)]
     block, cursor = None, SUBCARRIERS
     for n in range(1, config.iterations):
         if config.fading_period and n % config.fading_period == 0:
-            channels.append(assemble_mimo_channel(nt, nr, length, k, rng))
+            channels.append(raw_rows(nt, nr, length, k, rng))
         if config.generator == "gaussian":
             sample = rng.standard_normal(nt)
         elif config.generator == "bpsk":

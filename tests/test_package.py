@@ -8,7 +8,6 @@ PUBLIC = {
     "__version__",
     "ALGORITHMS",
     "GENERATOR_KINDS",
-    "assemble_mimo_channel",
     "snr_to_variance",
     "HyperParams",
     "update",
@@ -27,7 +26,7 @@ def test_public_names_are_pinned():
     # a name added to or dropped from the API must be added or dropped here
     assert len(sparsemimo.__all__) == len(set(sparsemimo.__all__))
     assert set(sparsemimo.__all__) == PUBLIC
-    assert len(PUBLIC) == 15
+    assert len(PUBLIC) == 14
 
 
 def test_every_public_name_resolves():
@@ -36,7 +35,7 @@ def test_every_public_name_resolves():
 
 
 def test_submodules_are_pinned():
-    # one module per layer: the training kinds, OFDM format and SNR
-    # convention live in experiment, next to the draws that use them
+    # one module per layer: the sparse channel, training kinds, OFDM format
+    # and SNR convention live in experiment, next to the draws that use them
     names = {module.name for module in pkgutil.iter_modules(sparsemimo.__path__)}
-    assert names == {"channel", "cli", "estimator", "experiment"}
+    assert names == {"cli", "estimator", "experiment"}
