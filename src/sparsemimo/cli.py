@@ -31,13 +31,11 @@ from .experiment import (
 __all__ = [
     "CSV_HEADER",
     "RunManifest",
-    "UsageError",
     "emit_csv",
     "emit_summary",
     "main",
     "parse_config",
     "replay_manifest",
-    "write_plot_script",
 ]
 
 CSV_HEADER = "algorithm,snr_db,mu,k,nt,nr,iteration,avg_mse,avg_mse_db"
@@ -48,13 +46,9 @@ EXIT_IO = 2
 EXIT_ALL_DIVERGED = 3
 
 
-class UsageError(ValueError):
-    """Bad flag, bad value, or violated configuration invariant."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits with status 2 by default
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _csv_list(convert):
@@ -95,7 +89,7 @@ def _parse_value(key: str, text: str):
     try:
         return _FIELDS[key][0](text)
     except ValueError:
-        raise UsageError(f"{key}: could not parse {text!r}") from None
+        raise ValueError(f"{key}: could not parse {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,20 +113,20 @@ def _load_config_file(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise UsageError(f"config: cannot read {path}: {exc}") from None
+        raise ValueError(f"config: cannot read {path}: {exc}") from None
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config: {path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"config: {path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise UsageError(f"config: unknown key {key!r} at {path}:{lineno}")
+            raise ValueError(f"config: unknown key {key!r} at {path}:{lineno}")
         if key in lines:
-            raise UsageError(f"config: key {key!r} repeated at {path}:{lines[key]} and {path}:{lineno}")
+            raise ValueError(f"config: key {key!r} repeated at {path}:{lines[key]} and {path}:{lineno}")
         lines[key] = lineno
         values[_config_field(key)] = _parse_value(key, value.strip())
     return values
@@ -144,10 +138,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         text = getattr(args, key)
         if text is not None:
             values[_config_field(key)] = _parse_value(key, text)
-    try:
-        return ExperimentConfig(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return ExperimentConfig(**values)
 
 
 def parse_config(argv) -> ExperimentConfig:
@@ -342,12 +333,6 @@ plt.show()
 """
 
 
-def write_plot_script(path, csv_path) -> None:
-    text = PLOT_TEMPLATE.format(csv=str(csv_path), header=CSV_HEADER)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -361,8 +346,8 @@ def main(argv=None) -> int:
         for flag, path in (("config", args.config), ("out", args.out), ("out", manifest_path_for(args.out)),
                            ("out", Path(f"{manifest_path_for(args.out)}.tmp")), ("plot-script", args.plot_script)):
             if path is not None and files.setdefault(path.resolve(), flag) != flag:
-                raise UsageError(f"{flag}: {path} is also the {files[path.resolve()]} file")
-    except ValueError as exc:  # a UsageError, or a bad worker count
+                raise ValueError(f"{flag}: {path} is also the {files[path.resolve()]} file")
+    except ValueError as exc:  # a bad flag, file line, config rule, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for path in filter(None, (args.out, args.plot_script)):  # found now, not after the whole grid
@@ -387,7 +372,8 @@ def main(argv=None) -> int:
         manifest = RunManifest.collect(config, result, started, finished)
         manifest.write(manifest_path_for(args.out))
         if args.plot_script:
-            write_plot_script(args.plot_script, args.out)
+            with open(args.plot_script, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(PLOT_TEMPLATE.format(csv=str(args.out), header=CSV_HEADER))
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_IO

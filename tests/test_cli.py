@@ -17,14 +17,12 @@ from sparsemimo import cli
 from sparsemimo.cli import (
     CSV_HEADER,
     RunManifest,
-    UsageError,
     emit_csv,
     emit_summary,
     main,
     manifest_path_for,
     parse_config,
     replay_manifest,
-    write_plot_script,
 )
 from sparsemimo.experiment import CellKey, ExperimentConfig, run_grid
 
@@ -87,11 +85,11 @@ class TestParseConfig:
         assert config.snr_db == (math.inf,)
 
     def test_negative_mu_rejected(self):
-        with pytest.raises(UsageError, match="mu"):
+        with pytest.raises(ValueError, match="mu"):
             parse_config(["--mu", "-1"])
 
     def test_unknown_flag_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="unrecognized arguments: --frobnicate 1"):
             parse_config(["--frobnicate", "1"])
 
     def test_field_table_matches_config_fields(self):
@@ -99,11 +97,11 @@ class TestParseConfig:
         assert keys == {field.name for field in dataclasses.fields(ExperimentConfig)}
 
     def test_unknown_generator_names_key(self):
-        with pytest.raises(UsageError, match="generator"):
+        with pytest.raises(ValueError, match="generator"):
             parse_config(["--generator", "qam"])
 
     def test_unparsable_value_names_key(self):
-        with pytest.raises(UsageError, match="snr_db"):
+        with pytest.raises(ValueError, match="snr_db"):
             parse_config(["--snr-db", "ten"])
 
     def test_config_file_and_precedence(self, tmp_path):
@@ -144,25 +142,25 @@ class TestParseConfig:
     def test_config_file_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("stepsize = 0.5\n", encoding="utf-8")
-        with pytest.raises(UsageError, match="stepsize"):
+        with pytest.raises(ValueError, match="stepsize"):
             parse_config(["--config", str(path)])
 
     def test_config_file_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("runs = 100\n# smaller\nseed = 4\nruns = 2\n", encoding="utf-8")
-        with pytest.raises(UsageError, match=r"'runs' repeated at .*run\.cfg:1 and .*run\.cfg:4"):
+        with pytest.raises(ValueError, match=r"'runs' repeated at .*run\.cfg:1 and .*run\.cfg:4"):
             parse_config(["--config", str(path)])
         # a repeated flag keeps argparse's last value
         assert parse_config(["--runs", "100", "--runs", "2"]).runs == 2
 
     def test_config_file_missing(self, tmp_path):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="config: cannot read"):
             parse_config(["--config", str(tmp_path / "absent.cfg")])
 
     def test_config_file_bad_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("runs 7\n", encoding="utf-8")
-        with pytest.raises(UsageError, match="key=value"):
+        with pytest.raises(ValueError, match="key=value"):
             parse_config(["--config", str(path)])
 
 

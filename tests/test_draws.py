@@ -171,7 +171,7 @@ def _reference_draws(config, k, run):
     return np.stack(channels), np.array(training), np.array(noise)
 
 
-class TestTrainingGenerator:
+class TestTrainingStream:
     """The training stream that ``draw_run`` draws for each generator kind."""
 
     def test_bpsk_is_constant_modulus(self):

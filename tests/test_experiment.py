@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sparsemimo import experiment
+from sparsemimo.estimator import ALGORITHMS
 from sparsemimo.experiment import (
     LAMBDA_L0_NOISE_RATIO,
     LAMBDA_LP_NOISE_RATIO,
@@ -153,6 +154,32 @@ class TestRunSingle:
             for key in reference:
                 assert result[key].tobytes() == reference[key].tobytes(), key
 
+    def test_stacked_runs_match_runs_alone(self):
+        # one call on several runs, each at several K and cells, against a
+        # call of its own per (realization, cell), which for one cell at one
+        # K takes the per-antenna float path: the reference grid's shape
+        # with fading, and two runs of the fading bpsk benchmark's shape.
+        # lms drops 2 of the first stack's 24 pairs and 1 of the second's 2
+        # (seed-pinned), so its stacks mix diverged and surviving pairs
+        grid = _tiny_config(sparsity=(1, 3), snr_db=(10.0, math.inf), mu=(0.5, 1.0), iterations=300,
+                            fading_period=50, seed=4)
+        bpsk = _tiny_config(nt=4, nr=4, length=16, sparsity=(4,), generator="bpsk", fading_period=20,
+                            iterations=300)
+        stacks = [(grid, [draw_run(grid, k, run) for run in range(3) for k in grid.sparsity]),
+                  (bpsk, [draw_run(bpsk, 4, run) for run in range(2)])]
+        for algorithm in ALGORITHMS:
+            for config, draws in stacks:
+                squared, finite = run_single(draws, config, algorithm)
+                assert finite.all() != (algorithm == "lms"), (algorithm, config.nt)
+                cells = [(snr, mu) for snr in config.snr_db for mu in config.mu]
+                for realization, draw in enumerate(draws):
+                    for cell, (snr, mu) in enumerate(cells):
+                        alone, alive = run_single([draw], replace(config, snr_db=(snr,), mu=(mu,)), algorithm)
+                        where = (algorithm, config.nt, realization, cell)
+                        assert finite[realization, cell] == alive[0, 0], where
+                        if alive[0, 0]:
+                            assert squared[realization, cell].tobytes() == alone[0, 0].tobytes(), where
+
     def test_memory_stays_within_a_block_of_the_draws(self):
         # a (iterations, nt * L) regressor matrix for this run alone would
         # take 41 MB; the draws, the curve and one block take a few
@@ -270,7 +297,9 @@ class TestRunSingle:
                 np.testing.assert_allclose(squared[realization, cell], reference, rtol=self.REFERENCE_RTOL, atol=0)
 
 
-class TestAverageMse:
+class TestMeanOfSurvivingRuns:
+    """The curve ``run_grid`` takes as the mean of a cell's surviving runs."""
+
     def test_single_run_is_identity(self, monkeypatch):
         trace = _mean_of(monkeypatch, [4.0, 2.0, 1.0])
         assert np.array_equal(trace, [4.0, 2.0, 1.0])
