@@ -239,12 +239,54 @@ def snr_to_variance(snr_db: float) -> float:
 
 
 def _draw_links(taps: np.ndarray, k: int, rng: np.random.Generator) -> None:
-    """Draw one epoch into ``taps``, zeroed ``(nr * nt, L)``: row ``r * nt + t`` links tx ``t`` to rx ``r``."""
+    """Draw one epoch into ``taps``, zeroed ``(nr * nt, L)``: row ``r * nt + t`` links tx ``t`` to rx ``r``.
+
+    A link's positions are bit for bit ``rng.choice(L, k, replace=False)``'s
+    and leave the generator where that call does, without its per-call cost:
+    numpy's Floyd sampling or tail shuffle, each draw taken by Lemire's
+    method from 32-bit words (numpy's way for spans below 2**32). PCG64
+    serves a word as the low half of a 64-bit output and keeps the high half
+    as a spare, which ``random_raw`` and the normal draws leave alone; so it
+    lives in locals for the epoch and goes back into the state at its end.
+    """
     links, length = taps.shape
-    positions = np.empty((links, k), dtype=np.intp)
+    bits = rng.bit_generator
+    raw_output, state = bits.random_raw, bits.state
+    spare, has_spare = state["uinteger"], state["has_uint32"]
+
+    def below(span):
+        # a draw in [0, span) by Lemire's method; a span of 1 takes no word
+        nonlocal spare, has_spare
+        if span == 1:
+            return 0
+        while True:
+            if has_spare:
+                word, has_spare = spare, 0
+            else:
+                raw = raw_output()
+                word, spare, has_spare = raw & 0xFFFFFFFF, raw >> 32, 1
+            m = word * span
+            if m & 0xFFFFFFFF >= 0x100000000 % span:
+                return m >> 32
+
+    floyd = length <= 10000 or k <= length // 50  # numpy's branch, by shape
+    positions = []
     values = np.empty((links, k))
     for i in range(links):
-        positions[i] = rng.choice(length, size=k, replace=False)
+        if floyd:
+            # for j from L - k: a draw in [0, j], or j if that is taken
+            picked, taken = [], set()
+            for j in range(length - k, length):
+                v = below(j + 1)
+                picked.append(j if v in taken else v)
+                taken.add(picked[-1])
+        else:
+            picked = list(range(length))
+        # numpy's swaps, from the last slot down to max(size - k, 1); the tail keeps the last k
+        for j in range(len(picked) - 1, max(len(picked) - k, 1) - 1, -1):
+            s = below(j + 1)
+            picked[j], picked[s] = picked[s], picked[j]
+        positions.append(picked[-k:])
         link = values[i]
         rng.standard_normal(out=link)
         # an exact zero would shrink the support; redraw it (a list's all() is link.all(), for less)
@@ -254,6 +296,9 @@ def _draw_links(taps: np.ndarray, k: int, rng: np.random.Generator) -> None:
     # only the draws run per link; np.vecdot gives each row the bits of the 1-D link @ link
     values /= np.sqrt(np.vecdot(values, values))[:, None]
     taps[np.arange(links)[:, None], positions] = values
+    state = bits.state  # the normal draws moved it
+    state["uinteger"], state["has_uint32"] = spare, has_spare
+    bits.state = state
 
 
 def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,8 +306,9 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
 
     ``k`` must be an integer in ``[1, L]``, else a ``ValueError`` names it.
     A channel draws its links rx outer, tx inner: K uniform positions
-    without replacement, K standard normal values, again for any exact
-    zero, then unit-energy scaling. The first channel comes from the run's
+    without replacement, bit for bit ``rng.choice(L, K, replace=False)``'s,
+    K standard normal values, again for any exact zero, then unit-energy
+    scaling. The first channel comes from the run's
     channel stream; every later draw from its loop stream, in this order
     per iteration ``n >= 1``: a new channel when a fading period starts
     (``n % fading_period == 0``), one training sample per transmit antenna

@@ -27,22 +27,33 @@ def _channel(nt, nr, length, sparsity, rng):
     return taps.reshape(nr, nt * length)
 
 
+class _LoggedPCG64(np.random.PCG64):
+    """A real PCG64 that notes each run of 64-bit outputs in ``log`` as one ``"words"`` entry."""
+
+    log = None
+
+    def random_raw(self, size=None, output=True):
+        if self.log[-1:] != ["words"]:
+            self.log.append("words")
+        return super().random_raw(size, output)
+
+
 class _ZeroAtRng:
-    """Stub rng whose Gaussian draw number ``zero_call`` is all zeros.
+    """Stub rng: the supports' words come from a real PCG64 seeded ``seed``,
+    and only the Gaussian draws are fake, draw number ``zero_call`` all zeros.
 
     Every other Gaussian draw number ``c`` is ``c, c + 1, ...``, so a link's
     values name the draw they came from; ``log`` lists every call in order.
+    The fake draws leave the words alone, so the supports are those of
+    ``rng.choice`` calls alone on a generator of the same seed.
     """
 
-    def __init__(self, zero_call):
+    def __init__(self, zero_call, seed):
         self.zero_call = zero_call
         self.gaussian_calls = 0
         self.log = []
-
-    def choice(self, n, size, replace):
-        assert not replace
-        self.log.append("choice")
-        return np.arange(size)
+        self.bit_generator = _LoggedPCG64(seed)
+        self.bit_generator.log = self.log
 
     def standard_normal(self, size=None, out=None):
         size = size if out is None else out.size
@@ -54,6 +65,21 @@ class _ZeroAtRng:
             return draw
         out[:] = draw
         return out
+
+
+def _stub_link(positions, draw, length):
+    """A link as ``_ZeroAtRng`` makes it: draw number ``draw``'s values at ``positions``, at unit energy."""
+    values = draw + np.arange(len(positions), dtype=float)
+    values /= math.sqrt(values @ values)
+    link = np.zeros(length)
+    link[positions] = values
+    return link
+
+
+def _word_state(rng):
+    """Where ``rng``'s PCG64 stands, its spare 32-bit word included, whatever its class name."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"]
 
 
 class TestChannel:
@@ -76,25 +102,30 @@ class TestChannel:
         assert seen == set(range(L))
 
     def test_exact_zero_draws_are_redrawn(self):
-        rng = _ZeroAtRng(zero_call=1)
+        rng = _ZeroAtRng(zero_call=1, seed=2)
         taps = _channel(1, 1, 8, 3, rng)[0]
         assert rng.gaussian_calls == 2
         assert np.count_nonzero(taps) == 3
         assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
+        # the redraw, draw 2, at the support of the seed's first rng.choice
+        real = np.random.default_rng(2)
+        assert taps.tobytes() == _stub_link(real.choice(8, 3, replace=False), 2, 8).tobytes()
+        assert _word_state(rng) == _word_state(real)
 
     def test_zero_draw_in_a_middle_link_redraws_only_that_link(self):
         # 3x3 links, K=2: link 4 is the middle one and takes Gaussian draw 5
-        rng = _ZeroAtRng(zero_call=5)
+        rng = _ZeroAtRng(zero_call=5, seed=0)
         rows = _channel(3, 3, 4, 2, rng)
-        link = ["choice", ("normal", 2)]
+        link = ["words", ("normal", 2)]
         assert rng.log == link * 4 + link + [("normal", 2)] + link * 4
-        # links 0..3 take draws 1..4, link 4 its redraw 6, links 5..8 draws 7..10
+        # links 0..3 take draws 1..4, link 4 its redraw 6, links 5..8 draws
+        # 7..10, each at the support of the seed's next rng.choice
+        real = np.random.default_rng(0)
         for index, draw in enumerate([1, 2, 3, 4, 6, 7, 8, 9, 10]):
             rx, tx = divmod(index, 3)
-            expected = np.zeros(4)
-            expected[:2] = [draw, draw + 1]
-            expected /= math.sqrt(expected @ expected)
+            expected = _stub_link(real.choice(4, 2, replace=False), draw, 4)
             assert rows[rx, tx * 4:(tx + 1) * 4].tobytes() == expected.tobytes(), index
+        assert _word_state(rng) == _word_state(real)
 
     @pytest.mark.parametrize(
         "nt,nr,length,sparsity",
@@ -107,6 +138,45 @@ class TestChannel:
             assert rows.tobytes() == raw_rows(nt, nr, length, sparsity, raw_rng).tobytes(), seed
             # both consumed the same stretch of the stream
             assert rng.bit_generator.state == raw_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "length,sparsity,seed,spare",
+        [
+            # one float32 drawn first leaves the epoch a spare word to start on
+            pytest.param(16, 4, 7, True, id="spare-word"),
+            pytest.param(16, 16, 7, True, id="k-equals-length"),
+            # each seed's first link rejects one word (Lemire's method)
+            pytest.param(10_000, 200, 385, False, id="rejection-385"),
+            pytest.param(10_000, 200, 1244, False, id="rejection-1244"),
+            pytest.param(10_000, 200, 9436, False, id="rejection-9436"),
+            # numpy's tail shuffle: L > 10000 and K > L // 50
+            pytest.param(10_050, 250, 3, False, id="tail"),
+            pytest.param(12_000, 5_000, 3, True, id="tail-wide"),
+            pytest.param(10_050, 10_050, 3, False, id="tail-k-equals-length"),
+            # K = L // 50 at L > 10000 is still Floyd's
+            pytest.param(10_001, 200, 3, False, id="floyd-at-boundary"),
+            # and so is any K at L = 10000
+            pytest.param(10_000, 201, 3, False, id="floyd-at-length-10000"),
+        ],
+    )
+    def test_supports_are_choice_draws(self, length, sparsity, seed, spare):
+        rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if spare:
+            rng.random(dtype=np.float32)
+            raw_rng.random(dtype=np.float32)
+        # two links, so the second starts where the first left the words
+        rows = _channel(2, 1, length, sparsity, rng)
+        assert rows.tobytes() == raw_rows(2, 1, length, sparsity, raw_rng).tobytes()
+        assert rng.bit_generator.state == raw_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [385, 1244, 9436])
+    def test_rejection_seeds_reject(self, seed):
+        # Floyd at L 10000, K 200 takes 200 + 199 words without a rejection,
+        # from a fresh generator an odd count that leaves a spare; an odd
+        # count of rejections takes it
+        rng = np.random.default_rng(seed)
+        rng.choice(10_000, 200, replace=False)
+        assert rng.bit_generator.state["has_uint32"] == 0
 
     @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (1, 1)])
     def test_every_fading_epoch_has_k_sparse_unit_energy_links(self, nt, nr):
@@ -184,17 +254,22 @@ class TestTrainingStream:
         draws = _training(kind, 1, 100_000, seed=1)[:, 0]
         assert np.mean(draws**2) == pytest.approx(1.0, rel=0.02)
 
-    @pytest.mark.parametrize("fading_period", [None, 43])
-    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
-    def test_stream_layout_is_the_per_iteration_order(self, kind, fading_period):
+    @pytest.mark.parametrize(
+        "kind,fading_period,nt",
+        [pytest.param(kind, period, 2, id=f"{kind}-{period}") for kind in GENERATOR_KINDS for period in (None, 43)]
+        # 3 bpsk words an iteration: every loop-stream epoch starts on a spare word
+        + [pytest.param("bpsk", 20, 3, id="bpsk-20-nt3")],
+    )
+    def test_stream_layout_is_the_per_iteration_order(self, kind, fading_period, nt):
         # 200 iterations span four ofdm blocks; with a period of 43 the
         # fading redraw at 129 and the ofdm block at 129 fall together
-        config = ExperimentConfig(nt=2, nr=3, length=4, sparsity=(2,), generator=kind,
+        config = ExperimentConfig(nt=nt, nr=3, length=4, sparsity=(2,), generator=kind,
                                   iterations=200, fading_period=fading_period)
         got = draw_run(config, 2, 5)
         expected = _reference_draws(config, 2, 5)
         assert [a.shape for a in got] == [a.shape for a in expected]
-        assert len(got[0]) == (5 if fading_period else 1)  # redraws at 43, 86, 129, 172
+        # redraws at 43, 86, 129, 172, or every 20
+        assert len(got[0]) == {None: 1, 43: 5, 20: 10}[fading_period]
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
 
