@@ -181,15 +181,6 @@ def emit_csv(traces, path) -> None:
             handle.write(templates[n] % tuple(fields))
 
 
-def _ss_db(trace: np.ndarray) -> float:
-    ss = steady_state_mse(trace)
-    return 10.0 * math.log10(ss) if ss > 0 else -math.inf
-
-
-def _tie(a: float, b: float) -> bool:
-    return a == b or abs(a - b) < 0.1
-
-
 def emit_summary(traces) -> str:
     """Per-cell steady-state table with ordering verdicts.
 
@@ -197,29 +188,28 @@ def emit_summary(traces) -> str:
     within 0.1 dB are declared a tie. When one algorithm was run at
     several sparsity levels, its spread across them is reported.
     """
-    items = [(key, traces[key]) for key in sorted(traces)]
-    if not items:
+    if not traces:
         raise ValueError("no traces to summarize")
-    cells: dict[tuple, dict[str, np.ndarray]] = {}
-    for key, trace in items:
-        cells.setdefault((key.nt, key.nr, key.k, key.snr_db, key.mu), {})[key.algorithm] = trace
-    out = []
-    for (nt, nr, k, snr, mu), algs in cells.items():
-        out.append(f"cell nt={nt} nr={nr} k={k} snr_db={snr:g} mu={mu:g}")
-        ranked = sorted(algs.items(), key=lambda item: _ss_db(item[1]))
-        for name, trace in ranked:
-            ss = _ss_db(trace)
-            reach = first_iteration_below(trace, 2.0 * steady_state_mse(trace))
-            out.append(f"  {name:<8} steady-state {ss:8.2f} dB   reaches 2x floor @ iter {reach}")
-        if len(ranked) > 1:
-            parts = [ranked[0][0]]
-            for (prev, ptrace), (name, trace) in zip(ranked, ranked[1:]):
-                sep = " ~ " if _tie(_ss_db(ptrace), _ss_db(trace)) else " < "
-                parts.append(sep + name)
-            out.append("  verdict: " + "".join(parts))
+    # each trace's steady state in dB, once, into its cell's rows and its per-K spread
+    cells: dict[tuple, list[tuple[float, str, int]]] = {}
     spreads: dict[tuple, dict[int, float]] = {}
-    for key, trace in items:
-        spreads.setdefault((key.algorithm, key.nt, key.nr, key.snr_db, key.mu), {})[key.k] = _ss_db(trace)
+    for key in sorted(traces):
+        ss = steady_state_mse(traces[key])
+        db = 10.0 * math.log10(ss) if ss > 0 else -math.inf
+        reach = first_iteration_below(traces[key], 2.0 * ss)
+        cells.setdefault((key.nt, key.nr, key.k, key.snr_db, key.mu), []).append((db, key.algorithm, reach))
+        spreads.setdefault((key.algorithm, key.nt, key.nr, key.snr_db, key.mu), {})[key.k] = db
+    out = []
+    for (nt, nr, k, snr, mu), rows in cells.items():
+        out.append(f"cell nt={nt} nr={nr} k={k} snr_db={snr:g} mu={mu:g}")
+        ranked = sorted(rows, key=lambda row: row[0])  # stable: equal values keep the name order
+        out.extend(f"  {name:<8} steady-state {db:8.2f} dB   reaches 2x floor @ iter {reach}"
+                   for db, name, reach in ranked)
+        verdict = ranked[0][1]
+        for (prev, _, _), (db, name, _) in zip(ranked, ranked[1:]):
+            verdict += (" ~ " if prev == db or abs(prev - db) < 0.1 else " < ") + name  # == for -inf
+        if len(ranked) > 1:
+            out.append("  verdict: " + verdict)
     for (alg, nt, nr, snr, mu), per_k in sorted(spreads.items()):
         if len(per_k) > 1:
             lo, hi = min(per_k.values()), max(per_k.values())
@@ -235,7 +225,7 @@ def emit_summary(traces) -> str:
 class RunManifest:
     """Everything needed to reproduce one results file byte-for-byte."""
 
-    config: dict
+    config: ExperimentConfig
     version: str
     seed: int
     started: str
@@ -245,7 +235,7 @@ class RunManifest:
     @classmethod
     def collect(cls, config: ExperimentConfig, result: GridResult, started: str, finished: str) -> "RunManifest":
         return cls(
-            config=dataclasses.asdict(config),
+            config=config,
             version=__version__,
             seed=config.seed,
             started=started,
@@ -255,7 +245,7 @@ class RunManifest:
 
     def write(self, path) -> None:
         """Dump to a sibling temporary file, then move it over ``path``: a failed dump leaves no partial manifest."""
-        temporary = Path(f"{path}.tmp")
+        temporary = _temporary_for(path)
         try:
             with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
                 json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
@@ -266,10 +256,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls(**_exact_keys(json.loads(Path(path).read_text(encoding="utf-8")), cls))
-
-    def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(**_exact_keys(self.config, ExperimentConfig, "config"))
+        values = _exact_keys(json.loads(Path(path).read_text(encoding="utf-8")), cls)
+        return cls(**{**values, "config": ExperimentConfig(**_exact_keys(values["config"], ExperimentConfig, "config"))})
 
 
 def _exact_keys(values: dict, cls, name: str = "") -> dict:
@@ -293,12 +281,17 @@ def manifest_path_for(out_path) -> Path:
     return out.with_name(out.stem + ".manifest.json")
 
 
+def _temporary_for(path) -> Path:
+    """The sibling file a manifest is dumped to before it replaces ``path``."""
+    return Path(f"{path}.tmp")
+
+
 def replay_manifest(manifest_path, out_path, workers: int = 1) -> GridResult:
     """Re-run the experiment recorded in a manifest and rewrite its CSV."""
     if Path(out_path).resolve() == Path(manifest_path).resolve():
         raise ValueError(f"out_path: {out_path} is the manifest itself")
     manifest = RunManifest.load(manifest_path)
-    result = run_grid(manifest.experiment_config(), workers=workers)
+    result = run_grid(manifest.config, workers=workers)
     emit_csv(result, out_path)
     return result
 
@@ -344,7 +337,7 @@ def main(argv=None) -> int:
         _count("workers", args.workers)
         files = {}  # each file the run reads or writes, the manifest's temporary too -> the flag naming it
         for flag, path in (("config", args.config), ("out", args.out), ("out", manifest_path_for(args.out)),
-                           ("out", Path(f"{manifest_path_for(args.out)}.tmp")), ("plot-script", args.plot_script)):
+                           ("out", _temporary_for(manifest_path_for(args.out))), ("plot-script", args.plot_script)):
             if path is not None and files.setdefault(path.resolve(), flag) != flag:
                 raise ValueError(f"{flag}: {path} is also the {files[path.resolve()]} file")
     except ValueError as exc:  # a bad flag, file line, config rule, worker count or path

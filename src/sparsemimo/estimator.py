@@ -29,10 +29,11 @@ smooth exponential attractor (the exact penalty gradient that the
 piecewise rule approximates), its penalty and the one-row Lp norm live in
 the tests, as oracles.
 
-Neither :class:`HyperParams`, :func:`update` nor the attractors it calls
-validate the knobs or check the result for finiteness: ``ExperimentConfig``
-validates the knobs once, and a run checks its squared errors once per
-block of iterations.
+:class:`HyperParams` refuses a rule name outside ``ALGORITHMS`` when it is
+built, so :func:`update` never checks it. Neither of them nor the
+attractors validate the knobs or check the result for finiteness:
+``ExperimentConfig`` validates the knobs once, and a run checks its squared
+errors once per block of iterations.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ NLMS_DELTA = 1e-12
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Full description of one update rule: its name and its knobs.
+    """Full description of one update rule: its name, one of ``ALGORITHMS``, and its knobs.
 
     ``lambda_lp``/``lambda_l0`` weigh the sparsity penalties; the effective
     attractor strengths are ``rho_lp = mu * lambda_lp`` and
@@ -72,6 +73,10 @@ class HyperParams:
     p: float = 0.45
     epsilon: float = 0.02
     beta: float = 15.0
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
 
     @cached_property
     def rho_lp(self) -> float:
@@ -112,10 +117,8 @@ def j_attractor(h, beta: float) -> np.ndarray:
 
 def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
            energy: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The next estimate under the rule ``hyper.algorithm`` names, in ``out`` if given; ``ValueError`` for another name."""
+    """The next estimate under the rule ``hyper.algorithm`` names, in ``out`` if given."""
     algorithm = hyper.algorithm
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "lms":
         c = hyper.mu * e
     else:

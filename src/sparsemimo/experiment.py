@@ -328,7 +328,8 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     ``(epochs, nr, nt * L)`` array, epoch ``e`` in force from iteration
     ``e * fading_period``; the ``(iterations, nt)`` training stream and the
     ``(iterations, nr)`` unit noise, whose row ``n`` is iteration ``n``'s
-    draw and row 0 zeros, as the cold start draws nothing.
+    draw and row 0 zeros, as the cold start draws nothing: the two column
+    blocks (views) of one ``(iterations, nt + nr)`` loop-stream array.
     """
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
     kind, k = config.generator, _count("k", k, 1, length)
@@ -337,8 +338,8 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     channels = np.zeros((1 + (iterations - 1) // period, nr * nt, length))
     _draw_links(channels[0], k, np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)))
     rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
-    training = np.zeros((iterations, nt))
-    noise = np.zeros((iterations, nr))
+    stream = np.zeros((iterations, nt + nr))
+    training, noise = stream[:, :nt], stream[:, nt:]
     uniforms = np.zeros((iterations, nt), dtype=np.float32) if kind == "bpsk" else None
     ofdm_bits = []
     # the draws change pattern only where a fading period or an ofdm block
@@ -349,9 +350,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
         if start % period == 0:
             _draw_links(channels[start // period], k, rng)
         if kind == "gaussian":
-            block = rng.standard_normal((stop - start, nt + nr))
-            training[start:stop] = block[:, :nt]
-            noise[start:stop] = block[:, nt:]
+            rng.standard_normal(out=stream[start:stop])
         elif kind == "bpsk":
             # rng.integers(0, 2) is the top bit of one 32-bit word (Lemire's
             # method never rejects for a range of 2), and a float32 uniform
@@ -364,7 +363,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
             if (start - 1) % SUBCARRIERS == 0:
                 ofdm_bits.append((rng.integers(0, 2, (nt, SUBCARRIERS)),
                                   rng.integers(0, 2, (nt, SUBCARRIERS))))
-            rng.standard_normal(out=noise[start:stop])
+            noise[start:stop] = rng.standard_normal((stop - start, nr))  # a column block takes no out=
     if kind == "bpsk":
         training[1:] = np.where(uniforms[1:] >= 0.5, 1.0, -1.0)
     elif kind == "ofdm" and ofdm_bits:

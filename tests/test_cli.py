@@ -305,7 +305,7 @@ class TestMainAndManifest:
         assert manifest_file.exists()
         manifest = RunManifest.load(manifest_file)
         assert manifest.seed == 9
-        assert manifest.config["runs"] == 2
+        assert manifest.config == parse_config(TINY_ARGS)
         assert capsys.readouterr().out.startswith("wrote 2 cell traces")
 
     def test_manifest_replay_reproduces_csv_bytes(self, tmp_path):
@@ -337,7 +337,7 @@ class TestMainAndManifest:
         result = run_grid(config)
         emit_csv(result, out)
         RunManifest.collect(config, result, "start", "end").write(manifest)
-        assert RunManifest.load(manifest).experiment_config() == config
+        assert RunManifest.load(manifest).config == config
         replay_manifest(manifest, tmp_path / "replay.csv")
         assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
 
@@ -374,8 +374,8 @@ class TestMainAndManifest:
 
     def test_failed_manifest_dump_leaves_the_previous_file(self, tmp_path, monkeypatch):
         def manifest(seed):
-            return RunManifest(config={"seed": seed}, version="0", seed=seed, started="start", finished="end",
-                               divergence_counts={})
+            return RunManifest(config=ExperimentConfig(seed=seed), version="0", seed=seed, started="start",
+                               finished="end", divergence_counts={})
 
         def failing(payload, handle, **kwargs):
             handle.write('{"config": {')
