@@ -286,10 +286,18 @@ def _temporary_for(path) -> Path:
     return Path(f"{path}.tmp")
 
 
+def _refuse_unwritable(*paths) -> None:
+    """Raise ``OSError`` if a path is a directory or its parent is none: found before the grid runs, not after."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir() or not path.parent.is_dir():
+            raise OSError(f"{path} is a directory" if path.is_dir() else f"{path.parent} is not a directory")
+
+
 def replay_manifest(manifest_path, out_path, workers: int = 1) -> GridResult:
     """Re-run the experiment recorded in a manifest and rewrite its CSV."""
     if Path(out_path).resolve() == Path(manifest_path).resolve():
         raise ValueError(f"out_path: {out_path} is the manifest itself")
+    _refuse_unwritable(out_path)
     manifest = RunManifest.load(manifest_path)
     result = run_grid(manifest.config, workers=workers)
     emit_csv(result, out_path)
@@ -343,11 +351,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a bad flag, file line, config rule, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for path in filter(None, (args.out, args.plot_script)):  # found now, not after the whole grid
-        if path.is_dir() or not path.parent.is_dir():
-            where = f"{path} is a directory" if path.is_dir() else f"{path.parent} is not a directory"
-            print(f"error: cannot write results: {where}", file=sys.stderr)
-            return EXIT_IO
+    try:
+        _refuse_unwritable(args.out, args.plot_script)
+    except OSError as exc:
+        print(f"error: cannot write results: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     started = _utc_now()
     result = run_grid(config, workers=args.workers)

@@ -22,9 +22,10 @@ one rule call per iteration updates every receive antenna's estimates of
 all those (realization, cell) pairs, each cell's noise scaled by its own
 SNR; only a lone pair updates its antennas one row at a time. Every
 estimate is one row of a C-contiguous ``(rows, nt * L)`` array, one per
-(antenna, realization, cell), antenna-major, beside a copy of its
-regressor. The regressors, their energies, received samples and squared
-errors are computed a block of iterations at a time; only the a-priori
+(realization, antenna, cell), realization-major, beside a copy of its
+regressor. The draws are stacked iteration first, so a block of
+iterations slices them, and its regressors, their energies, received
+samples and squared errors are array operations; only the a-priori
 error and the update run per iteration, and both advance in place: the
 error into one buffer, and the rule's next estimates straight into the
 block's estimate array, with no copy. A run's outcome is its squared
@@ -206,13 +207,9 @@ class ExperimentConfig:
             raise ValueError(f"beta: must be positive with 2 * beta**2 finite (up to about 9.48e153), got {self.beta}")
 
     def cell_keys(self) -> list[CellKey]:
-        return [
-            CellKey(a, s, m, k, self.nt, self.nr)
-            for a in self.algorithms
-            for s in self.snr_db
-            for m in self.mu
-            for k in self.sparsity
-        ]
+        """Every cell, algorithm outer, then K, SNR and step size: the order :func:`run_grid` makes them in."""
+        return [CellKey(a, s, m, k, self.nt, self.nr)
+                for a in self.algorithms for k in self.sparsity for s in self.snr_db for m in self.mu]
 
 
 def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -> np.random.SeedSequence:
@@ -398,11 +395,13 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     ``dataclasses.replace(config, snr_db=..., mu=...)``.
 
     Every estimate is one row of a C-contiguous ``(rows, nt * L)`` array,
-    ``nr * realizations * cells`` rows antenna-major, and each knob
-    reaches the rule as a ``(rows, 1)`` column. The runs
-    advance ``BLOCK`` iterations at a time: a block's regressors, copied
-    into one row each, their energies, received samples, squared errors and
-    finiteness check are array operations. Per iteration run only the
+    row ``(r * nr + i) * cells + c`` realization ``r``'s antenna ``i`` in
+    cell ``c``, and each knob reaches the rule as a ``(rows, 1)`` column.
+    The draws are stacked iteration first and the runs advance ``BLOCK``
+    iterations at a time, each block a slice: its regressors, copied into
+    one row each, their energies, received samples, squared errors and
+    finiteness check are array operations, and only the write into
+    ``squared`` permutes axes. Per iteration run only the
     a-priori error, into one ``(rows,)`` buffer, and one ``update`` of every
     row through its ``out``, or for a lone pair one call per antenna on
     floats. The block length leaves every bit as it is.
@@ -411,7 +410,7 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     period = config.fading_period or iterations
     pairs = [(snr, mu) for snr in config.snr_db for mu in config.mu]
     count, cells, taps = len(draws), len(pairs), nt * length
-    rows = nr * count * cells
+    rows = count * nr * cells
     lone = count * cells == 1
     # each cell's knobs on Python floats, as numpy's array ** can round
     # differently; an unset weight scales with the cell's noise power
@@ -425,22 +424,22 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     knobs = {name: values[0] if lone else np.tile(values, nr * count)[:, None] for name, values in knobs.items()}
     hyper = HyperParams(algorithm, p=config.p, epsilon=config.epsilon, beta=config.beta, **knobs)
     stds = np.array([math.sqrt(v) for v in variances])
-    channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
     shapes = ((1 + (iterations - 1) // period, nr, taps), (iterations, nt), (iterations, nr))
-    if (channels.shape[1:], training.shape[1:], noise.shape[1:]) != shapes:
+    if any(tuple(np.shape(array) for array in draw) != shapes for draw in draws):
         raise ValueError(f"draws must be channels, training and noise of shapes {shapes}")
+    channels, training, noise = (np.stack(arrays, axis=1) for arrays in zip(*draws))
     # the regressor of iteration n holds each antenna's samples n, n-1, ...,
     # n-L+1, zero before the start: a reversed window onto the padded stream
-    padded = np.concatenate([np.zeros((count, length - 1, nt)), training], axis=1)
-    windows = sliding_window_view(padded, length, axis=1)[..., ::-1]
+    padded = np.concatenate([np.zeros((length - 1, count, nt)), training])
+    windows = sliding_window_view(padded, length, axis=0)[..., ::-1]
     # estimates[j] holds every row's estimate after the block's j-th
     # iteration (estimates[0] carried over) and regressors[j] its regressor;
-    # their reshapes by grid index the rows by (antenna, realization, cell)
+    # their reshapes by grid index the rows by (realization, antenna, cell)
     estimates = np.zeros((min(BLOCK, iterations) + 1, rows, taps))
     regressors = np.empty((min(BLOCK, iterations), rows, taps))
-    grid = (nr, count, cells, taps)
+    grid = (count, nr, cells, taps)
     squared = np.empty((count, cells, iterations))
-    squared[:, :, 0] = [[float(np.sum(epochs[0] * epochs[0]))] for epochs in channels]
+    squared[:, :, 0] = [[float(np.sum(h * h))] for h in channels[0]]
     finite = np.ones((count, cells), dtype=bool)
     # one iteration's a-priori errors, one per row, and the rule's column
     # view of them, written in place every iteration
@@ -454,16 +453,15 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, iterations, BLOCK):
             size = min(BLOCK, iterations - start)
-            xs = windows[:, start:start + size].reshape(count, size, taps)
-            hs = channels[:, np.arange(start, start + size) // period]
+            xs = windows[start:start + size].reshape(size, count, taps)
+            hs = channels[np.arange(start, start + size) // period]
             # a stack of (nr, nt*L) @ (nt*L, 1) products gives the bits of
             # the one-iteration rows @ x (gemv); xs @ rows.T runs as gemm
             # and moves them
-            clean = np.matmul(hs, xs[..., None]).transpose(1, 2, 0, 3)
+            clean = np.matmul(hs, xs[..., None])
             # ys[j] is iteration j's received sample of every row
-            ys = list((clean + (0.0 + noise[:, start:start + size].transpose(1, 2, 0)[..., None] * stds))
-                      .reshape(size, rows))
-            np.copyto(regressors[:size].reshape(size, *grid), xs.transpose(1, 0, 2)[:, None, :, None])
+            ys = list((clean + (0.0 + noise[start:start + size, :, :, None] * stds)).reshape(size, rows))
+            np.copyto(regressors[:size].reshape(size, *grid), xs[:, :, None, None])
             # np.vecdot gives the bits of the one-row float(x @ x)
             energies = np.vecdot(regressors[:size], regressors[:size])[..., None]
             energies = energies[:, 0, 0].tolist() if lone else list(energies)
@@ -480,13 +478,14 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
                         update(hyper, h, x, ei, energies[j], out)
                 else:
                     update(hyper, before, x, e_column, energies[j], estimate_rows[j + 1])
-            diff = hs.transpose(1, 2, 0, 3)[:, :, :, None] - estimates[1:size + 1].reshape(size, *grid)
+            diff = hs[:, :, :, None] - estimates[1:size + 1].reshape(size, *grid)
             per_row = np.vecdot(diff, diff)
-            # in antenna order, 0.0 + row 0 + row 1 + ...; np.sum may pair
-            # the terms differently and move bits
-            total = per_row[:, 0]
+            # in antenna order, row 0 + row 1 + ...: for a lone pair the
+            # antennas are np.sum's inner loop, which from 8 of them on adds
+            # them as 8 partial sums and moves bits
+            total = per_row[:, :, 0]
             for i in range(1, nr):
-                total = total + per_row[:, i]
+                total = total + per_row[:, :, i]
             squared[:, :, start:start + size] = total.transpose(1, 2, 0)
             # a non-finite estimate makes its squared error non-finite too,
             # and a finite one can still overflow it; either way the pair's
@@ -528,9 +527,7 @@ def _grid_task(args):
     # a cell's K enters only through its draws, so one call serves every K
     draws = [draw_run(config, k, run) for k in config.sparsity]
     squared, finite = zip(*(run_single(draws, config, algorithm) for algorithm in config.algorithms))
-    # stacked: (algorithm, K, SNR x mu, ...); cell_keys() orders algorithm, SNR, mu, K
-    return (np.stack(squared).swapaxes(1, 2).reshape(-1, config.iterations),
-            np.stack(finite).swapaxes(1, 2).reshape(-1))
+    return np.stack(squared).reshape(-1, config.iterations), np.stack(finite).reshape(-1)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:

@@ -352,6 +352,17 @@ class TestMainAndManifest:
             replay_manifest(manifest, out)
         assert manifest.read_bytes() == before
 
+    @pytest.mark.parametrize("name, where", [(".", "{out} is a directory"),
+                                             ("missing-dir/replay.csv", "{out.parent} is not a directory")],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_replay_target_refused_before_the_grid_runs(self, tmp_path, monkeypatch, name, where):
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 0
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        out = tmp_path / name
+        with pytest.raises(OSError, match=f"^{re.escape(where.format(out=out))}$"):
+            replay_manifest(manifest_path_for(tmp_path / "res.csv"), out)
+        assert not (tmp_path / "missing-dir").exists()
+
     @pytest.mark.parametrize("edit, named", [
         (lambda data: {**data, "host": "ci-runner"}, "unknown key host"),
         (lambda data: _without(data, "finished"), "missing key finished"),

@@ -341,8 +341,8 @@ class TestCommonUpdateContract:
     @pytest.mark.parametrize("p", [0.45, 0.5, 1.0])
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_out_is_returned_with_the_bits_of_a_new_array(self, name, p):
-        # run_single's two shapes: an (nr, realizations, cells, N) stack with
-        # (cells, 1) knob columns, and one antenna row with a float error;
+        # run_single's two shapes: a stack of (realization, antenna, cell)
+        # rows with (cells, 1) knob columns, and one antenna row with a float error;
         # p = 0.5 and 1.0 are where numpy's ** takes a fast path
         rng = np.random.default_rng(12)
         stack = rng.standard_normal((2, 2, 3, 32)) * rng.integers(0, 2, (2, 2, 3, 32))

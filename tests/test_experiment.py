@@ -113,6 +113,14 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="shapes"):
             run_single([draw_run(config, 1, 0)], replace(config, **overrides), "nlms")
 
+    def test_ragged_draws_rejected_by_their_shapes(self):
+        # the second realization one iteration longer: named by the shapes
+        # run_single expects, not by the stack that cannot be made
+        config = _tiny_config()
+        draws = [draw_run(config, 1, 0), draw_run(replace(config, iterations=51), 1, 0)]
+        with pytest.raises(ValueError, match="^draws must be channels, training and noise of shapes "):
+            run_single(draws, config, "nlms")
+
     @pytest.mark.parametrize("overrides", [
         dict(algorithms=("lms",)), dict(snr_db=(0.0, 20.0)), dict(mu=(1.5,)), dict(lambda_lp=0.1),
         dict(lambda_l0=0.2), dict(p=0.9), dict(epsilon=0.5), dict(beta=3.0), dict(runs=7),
@@ -199,7 +207,7 @@ class TestRunSingle:
     def test_each_cell_gets_its_knobs(self, monkeypatch):
         # per cell, SNR outer: the step size, and each regularizer weight as
         # set or else its noise ratio times the cell's noise variance. The
-        # rule sees one row per (antenna, realization, cell), antenna-major,
+        # rule sees one row per (realization, antenna, cell), realization-major,
         # and every knob is a (rows, 1) column whose every row carries its
         # own cell's value, a knob shared by all cells too
         snrs, mus, realizations = (5.0, 10.0, 15.0), (0.5, 1.0), 2
@@ -619,6 +627,15 @@ class TestRunGrid:
         )
         result = run_grid(config)
         assert len(result) == 2 * 2 * 2 * 2
+
+    def test_cells_come_in_cell_keys_order_with_k_outside_snr(self):
+        # the order run_single's outcomes are stacked in: algorithm, K, SNR, step size
+        algorithms, ks, snrs, mus = ("nlms", "l0_nlms"), (1, 4), (10.0, 20.0), (0.5, 1.0)
+        config = _tiny_config(algorithms=algorithms, sparsity=ks, snr_db=snrs, mu=mus, runs=3)
+        result = run_grid(config)
+        assert list(result) == list(result.diverged) == config.cell_keys()
+        assert config.cell_keys() == [CellKey(a, s, m, k, 2, 2) for a in algorithms for k in ks for s in snrs
+                                      for m in mus]
 
     def test_pool_gets_no_more_workers_than_tasks(self, monkeypatch):
         # a stub pool records its size and maps in process: no process starts
