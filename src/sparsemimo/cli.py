@@ -227,7 +227,6 @@ class RunManifest:
 
     config: ExperimentConfig
     version: str
-    seed: int
     started: str
     finished: str
     divergence_counts: dict
@@ -237,7 +236,6 @@ class RunManifest:
         return cls(
             config=config,
             version=__version__,
-            seed=config.seed,
             started=started,
             finished=finished,
             divergence_counts={_key_string(key): len(runs) for key, runs in result.diverged.items()},

@@ -301,7 +301,8 @@ def _draw_links(taps: np.ndarray, k: int, rng: np.random.Generator) -> None:
 def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every draw of run ``run`` at sparsity ``k``, seeded from the config.
 
-    ``k`` must be an integer in ``[1, L]``, else a ``ValueError`` names it.
+    ``k`` must be an integer in ``[1, L]`` and ``run`` one at least 0,
+    else a ``ValueError`` names the one that is not.
     A channel draws its links rx outer, tx inner: K uniform positions
     without replacement, bit for bit ``rng.choice(L, K, replace=False)``'s,
     K standard normal values, again for any exact zero, then unit-energy
@@ -329,7 +330,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     blocks (views) of one ``(iterations, nt + nr)`` loop-stream array.
     """
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
-    kind, k = config.generator, _count("k", k, 1, length)
+    kind, k, run = config.generator, _count("k", k, 1, length), _count("run", run, 0)
     period = config.fading_period or iterations
     # every epoch's links, drawn in place; reshaped to (nr, nt * L) rows on return
     channels = np.zeros((1 + (iterations - 1) // period, nr * nt, length))
@@ -381,8 +382,8 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     ``config.cell_keys()`` order; they leave the draws alone, so
     every cell reads every realization: each cell's noise is
     ``0.0 + std * z`` of the unit noise ``z``, bit for bit what
-    ``rng.normal(0.0, std, nr)`` gives; draws not of the config's shapes
-    raise ``ValueError``. A cell's rule takes the config's knobs, its step
+    ``rng.normal(0.0, std, nr)`` gives; ``draws`` empty or not of the config's
+    shapes raises ``ValueError``. A cell's rule takes the config's knobs, its step
     size, and for an unset regularizer weight ``LAMBDA_*_NOISE_RATIO``
     times its noise variance. Returns ``(squared, finite)``: the
     ``(realizations, cells, iterations)`` squared errors, entry 0 the
@@ -425,7 +426,7 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     hyper = HyperParams(algorithm, p=config.p, epsilon=config.epsilon, beta=config.beta, **knobs)
     stds = np.array([math.sqrt(v) for v in variances])
     shapes = ((1 + (iterations - 1) // period, nr, taps), (iterations, nt), (iterations, nr))
-    if any(tuple(np.shape(array) for array in draw) != shapes for draw in draws):
+    if not draws or any(tuple(np.shape(array) for array in draw) != shapes for draw in draws):
         raise ValueError(f"draws must be channels, training and noise of shapes {shapes}")
     channels, training, noise = (np.stack(arrays, axis=1) for arrays in zip(*draws))
     # the regressor of iteration n holds each antenna's samples n, n-1, ...,

@@ -304,7 +304,7 @@ class TestMainAndManifest:
         manifest_file = manifest_path_for(out)
         assert manifest_file.exists()
         manifest = RunManifest.load(manifest_file)
-        assert manifest.seed == 9
+        assert manifest.config.seed == 9
         assert manifest.config == parse_config(TINY_ARGS)
         assert capsys.readouterr().out.startswith("wrote 2 cell traces")
 
@@ -371,7 +371,9 @@ class TestMainAndManifest:
         (lambda data: {**data, "config": _without(data["config"], "beta")}, "missing key config.beta"),
         (lambda data: list(data), "the file must be a JSON object, got list"),
         (lambda data: {**data, "config": list(data["config"])}, "config must be a JSON object, got list"),
-    ], ids=["extra", "missing", "config-extra", "extra-and-missing", "config-missing", "list", "config-list"])
+        (lambda data: {**data, "seed": 11}, "unknown key seed"),
+    ], ids=["extra", "missing", "config-extra", "extra-and-missing", "config-missing", "list", "config-list",
+            "old-seed"])
     def test_replay_of_a_manifest_with_other_keys_names_them(self, tmp_path, monkeypatch, edit, named):
         # a manifest written by another version of the program is refused
         # by its keys, before the grid runs or any output is written
@@ -385,7 +387,7 @@ class TestMainAndManifest:
 
     def test_failed_manifest_dump_leaves_the_previous_file(self, tmp_path, monkeypatch):
         def manifest(seed):
-            return RunManifest(config=ExperimentConfig(seed=seed), version="0", seed=seed, started="start",
+            return RunManifest(config=ExperimentConfig(seed=seed), version="0", started="start",
                                finished="end", divergence_counts={})
 
         def failing(payload, handle, **kwargs):
@@ -557,7 +559,7 @@ class TestMainAndManifest:
         main(TINY_ARGS + ["--out", str(out)])
         payload = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
         assert set(payload) == {
-            "config", "version", "seed", "started", "finished", "divergence_counts",
+            "config", "version", "started", "finished", "divergence_counts",
         }
         assert payload["config"]["algorithms"] == ["nlms", "l0_nlms"]
 

@@ -195,6 +195,13 @@ class TestChannel:
         with pytest.raises(ValueError, match=r"^k: "):
             draw_run(config, k, 0)
 
+    @pytest.mark.parametrize("run", [-1, 1.5, True])
+    def test_draw_run_refuses_a_run_that_is_not_a_count(self, run):
+        # a run index is a count, by the rule k follows: no bool, float or negative
+        config = ExperimentConfig(length=L, iterations=5)
+        with pytest.raises(ValueError, match=r"^run: "):
+            draw_run(config, 1, run)
+
 
 def _training(kind, nt, samples, seed):
     """``samples`` training draws per transmit antenna; row 0, the cold start's, is left out."""

@@ -121,6 +121,11 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="^draws must be channels, training and noise of shapes "):
             run_single(draws, config, "nlms")
 
+    def test_no_draws_rejected_by_their_shapes(self):
+        # named as a ragged list is, not by the unpacking of an empty zip
+        with pytest.raises(ValueError, match="^draws must be channels, training and noise of shapes "):
+            run_single([], _tiny_config(), "nlms")
+
     @pytest.mark.parametrize("overrides", [
         dict(algorithms=("lms",)), dict(snr_db=(0.0, 20.0)), dict(mu=(1.5,)), dict(lambda_lp=0.1),
         dict(lambda_l0=0.2), dict(p=0.9), dict(epsilon=0.5), dict(beta=3.0), dict(runs=7),
@@ -227,9 +232,9 @@ class TestRunSingle:
                     got = getattr(hyper, name)
                     assert type(got) is np.ndarray and got.shape == (config.nr * realizations * cells, 1), \
                         (overrides, name)
-                    # row (antenna, realization, cell) holds its cell's value, bit for bit
-                    for antenna in got.reshape(config.nr, realizations, cells):
-                        for row in antenna:
+                    # row (realization, antenna, cell) holds its cell's value, bit for bit
+                    for realization in got.reshape(realizations, config.nr, cells):
+                        for row in realization:
                             assert row.tobytes() == np.array(values).tobytes(), (overrides, name)
         # a lone pair, one cell of one realization, takes its knobs as floats
         config = _tiny_config(nr=3, snr_db=(5.0,), mu=(1.0,), iterations=5)
