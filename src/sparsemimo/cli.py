@@ -303,7 +303,7 @@ def replay_manifest(manifest_path, out_path, workers: int = 1) -> GridResult:
 
 
 PLOT_TEMPLATE = """#!/usr/bin/env python3
-# Learning-curve plot template for {csv}
+# Learning-curve plot template for {comment}
 # The CSV is long format with header:
 #   {header}
 # Each (algorithm, snr_db, mu, k, nt, nr) combination is one curve of
@@ -341,16 +341,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
         _count("workers", args.workers)
-        files = {}  # each file the run reads or writes, the manifest's temporary too -> the flag naming it
-        for flag, path in (("config", args.config), ("out", args.out), ("out", manifest_path_for(args.out)),
-                           ("out", _temporary_for(manifest_path_for(args.out))), ("plot-script", args.plot_script)):
+        manifest = manifest_path_for(args.out)
+        # each file the run writes, the manifest's temporary too, by the flag naming it
+        outputs = [("out", args.out), ("out", manifest), ("out", _temporary_for(manifest)),
+                   ("plot-script", args.plot_script)]
+        files = {}  # each file the run reads or writes -> the flag naming it
+        for flag, path in [("config", args.config), *outputs]:
             if path is not None and files.setdefault(path.resolve(), flag) != flag:
                 raise ValueError(f"{flag}: {path} is also the {files[path.resolve()]} file")
     except ValueError as exc:  # a bad flag, file line, config rule, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _refuse_unwritable(args.out, args.plot_script)
+        _refuse_unwritable(*(path for _, path in outputs))
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -368,11 +371,14 @@ def main(argv=None) -> int:
 
     try:
         emit_csv(result, args.out)
-        manifest = RunManifest.collect(config, result, started, finished)
-        manifest.write(manifest_path_for(args.out))
+        RunManifest.collect(config, result, started, finished).write(manifest)
         if args.plot_script:
+            # a line break in the path would end the comment line and start code;
+            # a byte that is not UTF-8 comes as a lone surrogate, which UTF-8 cannot hold
+            comment = str(args.out).encode("utf-8", "backslashreplace").decode()
+            comment = comment.replace("\r", "\\r").replace("\n", "\\n")
             with open(args.plot_script, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(PLOT_TEMPLATE.format(csv=str(args.out), header=CSV_HEADER))
+                handle.write(PLOT_TEMPLATE.format(csv=str(args.out), comment=comment, header=CSV_HEADER))
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,31 +13,11 @@ receive antenna ``r``'s MISO row: ``rows[r, t * L + l]`` is tap ``l`` from
 transmit antenna ``t``. Each link has K nonzero taps (``np.flatnonzero``),
 uniform positions, Gaussian values, no exact zero, and unit energy.
 
-Because those realizations are shared, a run is drawn once per K: its
-channel epochs, training stream and unit-scale noise come from one pass
-over its random stream, before any adaptation. Cells of different K differ
-only in those draws, so each K's draws are one realization, and one call
-per algorithm advances every K, step size and SNR of a run index together:
-one rule call per iteration updates every receive antenna's estimates of
-all those (realization, cell) pairs, each cell's noise scaled by its own
-SNR; only a lone pair updates its antennas one row at a time. Every
-estimate is one row of a C-contiguous ``(rows, nt * L)`` array, one per
-(realization, antenna, cell), realization-major, beside a copy of its
-regressor. The draws are stacked iteration first, so a block of
-iterations slices them, and its regressors, their energies, received
-samples and squared errors are array operations; only the a-priori
-error and the update run per iteration, and both advance in place: the
-error into one buffer, and the rule's next estimates straight into the
-block's estimate array, with no copy. A run's outcome is its squared
-errors and a mask of the pairs whose errors stayed finite: a pair whose
-run diverges is dropped from that run alone, and the other pairs come out
-bit for bit as they would alone.
-
-A cell's result is its learning curve: the per-iteration mean squared
-error over the runs that did not diverge, one float64 array. Runs are
-added to their cell's running sum in run order as they arrive, so the grid
-holds one array per cell, not one per run. :class:`GridResult` is a dict
-of each :class:`CellKey` to its curve; a cell whose runs all diverged has none.
+The module's map: :class:`ExperimentConfig` validates a grid once and
+names its cells; :func:`draw_run` draws one run's channel, training and
+noise; :func:`run_single` advances one rule over several realizations and
+cells; :func:`run_grid` runs every run index and folds each cell's
+surviving runs into a :class:`GridResult` of learning curves.
 """
 from __future__ import annotations
 

@@ -203,11 +203,11 @@ class TestChannel:
             draw_run(config, 1, run)
 
 
-def _training(kind, nt, samples, seed):
-    """``samples`` training draws per transmit antenna; row 0, the cold start's, is left out."""
-    config = ExperimentConfig(nt=nt, nr=1, length=1, sparsity=(1,), generator=kind,
+def _training(kind, samples, seed):
+    """``samples`` training draws of one transmit antenna; the cold start's zero is left out."""
+    config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), generator=kind,
                               iterations=samples + 1, seed=seed)
-    return draw_run(config, 1, 0)[1][1:]
+    return draw_run(config, 1, 0)[1][1:, 0]
 
 
 def _reference_draws(config, k, run):
@@ -251,14 +251,9 @@ def _reference_draws(config, k, run):
 class TestTrainingStream:
     """The training stream that ``draw_run`` draws for each generator kind."""
 
-    def test_bpsk_is_constant_modulus(self):
-        draws = _training("bpsk", 2, 500, seed=0)
-        assert set(np.unique(draws)) == {-1.0, 1.0}
-        assert np.mean(draws**2) == 1.0
-
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_unit_power(self, kind):
-        draws = _training(kind, 1, 100_000, seed=1)[:, 0]
+        draws = _training(kind, 100_000, seed=1)
         assert np.mean(draws**2) == pytest.approx(1.0, rel=0.02)
 
     @pytest.mark.parametrize(
@@ -292,11 +287,6 @@ class TestNoise:
         squared = _noise_only_run(10.0, 3)
         assert np.mean(squared[1:]) == pytest.approx(snr_to_variance(10.0), rel=0.03)
 
-    def test_distinct_streams_are_independent(self):
-        a = _noise_only_run(10.0, 1)
-        b = _noise_only_run(10.0, 2)
-        assert not np.array_equal(a, b)
-
 
 def _noise_only_run(snr_db, seed, iterations=20_000):
     config = ExperimentConfig(nt=1, nr=1, length=1, sparsity=(1,), snr_db=(snr_db,), mu=(1.0,),
@@ -318,11 +308,3 @@ class TestSystemOutput:
         assert finite.all()
         assert squared[0, 0, 0] == 1.0
         assert np.all(squared[0, 0, 1:] < 1e-20)
-
-    def test_dimension_mismatch_rejected(self):
-        config = ExperimentConfig(nt=2, nr=2, length=8, sparsity=(1,), snr_db=(10.0,), mu=(0.5,), iterations=5)
-        _, training, noise = draw_run(config, 1, 0)
-        with pytest.raises(ValueError):
-            run_single([(np.zeros((1, 2, 2 * 4)), training, noise)], config, "nlms")
-        with pytest.raises(ValueError):
-            run_single([(np.zeros((1, 3, 2 * 8)), training, noise)], config, "nlms")

@@ -1,6 +1,5 @@
 """Tests for the adaptive update rules and their zero attractors."""
 
-import math
 import re
 from dataclasses import replace
 
@@ -166,23 +165,13 @@ class TestLpAttractor:
 
 
 class TestLpNlms:
-    def test_zero_weight_reduces_to_nlms(self):
-        rng = np.random.default_rng(14)
-        h = rng.standard_normal(6)
-        hyper = HyperParams("lp_nlms", lambda_lp=0.0)
-        x = rng.standard_normal(6)
-        e = 0.37
-        sparse = update(hyper, h, x, e, float(x @ x))
-        plain = update(replace(hyper, algorithm="nlms"), h, x, e, float(x @ x))
-        assert sparse.tobytes() == plain.tobytes()
-
-    def test_zero_error_shrinks_single_tap(self):
+    @pytest.mark.parametrize("h0", [0.4, -0.4])
+    def test_zero_error_shrinks_single_tap(self, h0):
         hyper = HyperParams("lp_nlms", lambda_lp=1e-3, mu=0.5)
-        for h0 in (0.4, -0.4):
-            x = _vec([1.0, 1.0])
-            out = update(hyper, _vec([h0, 0.0]), x, 0.0, float(x @ x))
-            assert abs(out[0]) < abs(h0)
-            assert np.sign(out[0]) == np.sign(h0)
+        x = _vec([1.0, 1.0])
+        out = update(hyper, _vec([h0, 0.0]), x, 0.0, float(x @ x))
+        assert abs(out[0]) < abs(h0)
+        assert np.sign(out[0]) == np.sign(h0)
 
 
 class TestL0ApproxNorm:
@@ -241,68 +230,19 @@ class TestExponentialAttractor:
         bound = beta * (beta * np.abs(h)) ** 2 / 2.0
         assert np.all(diff <= bound + 1e-12)
 
-    def test_is_gradient_of_approx_norm(self):
-        # central finite differences of the smooth surrogate
-        rng = np.random.default_rng(31)
-        beta, step = 12.0, 1e-6
-        for _ in range(10):
-            h = rng.uniform(0.02, 0.3, 6) * rng.choice([-1.0, 1.0], 6)
-            grad = l0_exponential_attractor(h, beta)
-            for i in range(h.size):
-                hp, hm = h.copy(), h.copy()
-                hp[i] += step
-                hm[i] -= step
-                fd = (l0_approx_norm(hp, beta) - l0_approx_norm(hm, beta)) / (2 * step)
-                assert fd == pytest.approx(grad[i], rel=1e-5)
-
 
 class TestL0Nlms:
-    def test_zero_weight_reduces_to_nlms(self):
-        rng = np.random.default_rng(16)
-        h = rng.standard_normal(6)
-        hyper = HyperParams("l0_nlms", lambda_l0=0.0)
-        x = rng.standard_normal(6)
-        sparse = update(hyper, h, x, -0.8, float(x @ x))
-        plain = update(replace(hyper, algorithm="nlms"), h, x, -0.8, float(x @ x))
-        assert sparse.tobytes() == plain.tobytes()
-
     def test_attraction_band_algebra(self):
         # e = 0: in-band |h'| = |h| - rho (2 beta - 2 beta^2 |h|), sign kept
         beta, rho, mu = 10.0, 1e-3, 0.5
         hyper = HyperParams("l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
-        x = _vec([1.0, 1.0, 1.0])
-        out = update(hyper, _vec([0.05, -0.05, 0.5]), x, 0.0, float(x @ x))
+        x = _vec([1.0, 1.0, 1.0, 1.0])
+        out = update(hyper, _vec([0.05, -0.05, 0.5, 0.0]), x, 0.0, float(x @ x))
         shrink = rho * (2 * beta - 2 * beta**2 * 0.05)
         assert out[0] == pytest.approx(0.05 - shrink, abs=1e-15)
         assert out[1] == pytest.approx(-0.05 + shrink, abs=1e-15)
         assert out[2] == 0.5  # outside the band: untouched
-
-    def test_randomized_attraction_and_cutoff(self):
-        # zero-attraction and cutoff over many random (h, beta, rho) triples
-        rng = np.random.default_rng(77)
-        for _ in range(1000):
-            beta = rng.uniform(2.0, 200.0)
-            h = rng.uniform(-2.0 / beta, 2.0 / beta, 8)
-            h[rng.integers(0, 8)] = 0.0
-            in_band = (np.abs(h) > 0) & (np.abs(h) < 1.0 / beta)
-            bounds = np.full(8, np.inf)
-            pull = 2 * beta - 2 * beta**2 * np.abs(h)
-            bounds[in_band] = np.abs(h[in_band]) / pull[in_band]
-            rho = rng.uniform(0.0, 1.0) * min(1.0, bounds.min()) * 0.999
-            if rho == 0.0:
-                continue
-            mu = 0.5
-            hyper = HyperParams("l0_nlms", mu=mu, lambda_l0=rho / mu, beta=beta)
-            x = np.ones(8)
-            out = update(hyper, h, x, 0.0, float(x @ x))
-            for i in range(8):
-                if np.abs(h[i]) > 1.0 / beta:
-                    assert out[i] == h[i]
-                elif in_band[i] and rho < bounds[i]:
-                    assert abs(out[i]) < abs(h[i])
-                    assert np.sign(out[i]) == np.sign(h[i])
-                elif h[i] == 0.0:
-                    assert out[i] == 0.0
+        assert out[3] == 0.0  # a zero tap stays zero
 
 
 class TestCommonUpdateContract:
