@@ -215,67 +215,79 @@ def snr_to_variance(snr_db: float) -> float:
     return 1.0 / 10.0 ** (snr_db / 10.0)
 
 
-def _draw_links(taps: np.ndarray, k: int, rng: np.random.Generator) -> None:
-    """Draw one epoch into ``taps``, zeroed ``(nr * nt, L)``: row ``r * nt + t`` links tx ``t`` to rx ``r``.
+class _Links:
+    """A run's links, drawn into ``taps``, zeroed ``(links, L)``, one row per link in draw order.
 
-    A link's positions are bit for bit ``rng.choice(L, k, replace=False)``'s
-    and leave the generator where that call does, without its per-call cost:
-    numpy's Floyd sampling or tail shuffle, each draw taken by Lemire's
-    method from 32-bit words (numpy's way for spans below 2**32). PCG64
-    serves a word as the low half of a 64-bit output and keeps the high half
-    as a spare, which ``random_raw`` and the normal draws leave alone; so it
-    lives in locals for the epoch and goes back into the state at its end.
+    A link's positions are bit for bit ``rng.choice(L, k, replace=False)``'s and
+    leave its generator where that call does: numpy's Floyd sampling or tail
+    shuffle, each draw taken by Lemire's method from a 32-bit word, the low
+    then the high half of a PCG64 output (numpy's way for spans below 2**32).
+    A word is rejected with odds below span / 2**32; the run is then drawn
+    again from its start, that link taking one more word (``extra``).
     """
-    links, length = taps.shape
-    bits = rng.bit_generator
-    raw_output, state = bits.random_raw, bits.state
-    spare, has_spare = state["uinteger"], state["has_uint32"]
 
-    def below(span):
-        # a draw in [0, span) by Lemire's method; a span of 1 takes no word
-        nonlocal spare, has_spare
-        if span == 1:
-            return 0
-        while True:
-            if has_spare:
-                word, has_spare = spare, 0
-            else:
-                raw = raw_output()
-                word, spare, has_spare = raw & 0xFFFFFFFF, raw >> 32, 1
-            m = word * span
-            if m & 0xFFFFFFFF >= 0x100000000 % span:
-                return m >> 32
+    def __init__(self, taps: np.ndarray, k: int, extra: dict[int, int]):
+        length = taps.shape[1]
+        self.floyd = length <= 10000 or k <= length // 50  # numpy's branch, by shape
+        # each word's span: Floyd's draws in [0, j], j from L - k (j 0 takes none), then its swaps; or the tail's
+        self.spans = np.array([*range(max(length - k, 1) + 1, length + 1), *range(k, 1, -1)] if self.floyd
+                              else range(length, max(length - k, 1), -1), dtype=np.uint64)
+        self.taps, self.k, self.extra, self.values = taps, k, extra, np.empty((len(taps), k))
+        self.raws, self.outputs, self.starts = [], 0, []  # outputs drawn; each link's first word among their halves
 
-    floyd = length <= 10000 or k <= length // 50  # numpy's branch, by shape
-    positions = []
-    values = np.empty((links, k))
-    for i in range(links):
-        if floyd:
-            # for j from L - k: a draw in [0, j], or j if that is taken
-            picked, taken = [], set()
-            for j in range(length - k, length):
-                v = below(j + 1)
-                picked.append(j if v in taken else v)
-                taken.add(picked[-1])
-        else:
-            picked = list(range(length))
-        # numpy's swaps, from the last slot down to max(size - k, 1); the tail keeps the last k
-        for j in range(len(picked) - 1, max(len(picked) - k, 1) - 1, -1):
-            s = below(j + 1)
-            picked[j], picked[s] = picked[s], picked[j]
-        positions.append(picked[-k:])
-        link = values[i]
-        rng.standard_normal(out=link)
-        # an exact zero would shrink the support; redraw it (a list's all() is link.all(), for less)
-        while not all(link.tolist()):
-            zero = link == 0.0
-            link[zero] = rng.standard_normal(int(zero.sum()))
-    # only the draws run per link; np.vecdot gives each row the bits of the 1-D link @ link
-    values /= np.sqrt(np.vecdot(values, values))[:, None]
-    taps[np.arange(links)[:, None], positions] = values
-    state = bits.state  # the normal draws moved it
-    state["uinteger"], state["has_uint32"] = spare, has_spare
-    bits.state = state
+    def draw(self, rng: np.random.Generator, links: int) -> None:
+        """The next ``links`` links from ``rng``: each one's words in one call, as if none is rejected, then values."""
+        bits = rng.bit_generator
+        spare, has_spare = (state := bits.state)["uinteger"], state["has_uint32"]
+        self.raws.append(np.array([spare << 32] * has_spare, dtype=np.uint64))  # a spare, as an output's high half
+        self.outputs += has_spare
+        for link in self.values[len(self.starts):len(self.starts) + links]:
+            count = len(self.spans) + self.extra.get(len(self.starts), 0)
+            self.starts.append(2 * self.outputs - has_spare)
+            self.raws.append(raws := bits.random_raw((count - has_spare + 1) // 2))
+            self.outputs, has_spare = self.outputs + raws.size, has_spare + 2 * raws.size - count
+            spare = int(raws[-1] >> 32) if raws.size else spare
+            rng.standard_normal(out=link)
+            # an exact zero would shrink the support; redraw it (a list's all() is link.all(), for less)
+            while not all(link.tolist()):
+                zero = link == 0.0
+                link[zero] = rng.standard_normal(int(zero.sum()))
+        bits.state = {**bits.state, "uinteger": spare, "has_uint32": has_spare}  # the normal draws moved it
+
+    def place(self) -> bool:
+        """Judge the run's words at once and place every link; on a rejected word, False and one more in ``extra``."""
+        k, length, spans, rows = self.k, self.taps.shape[1], self.spans, np.arange(len(self.taps))
+        starts, raws = np.array(self.starts), np.concatenate(self.raws)
+        words = np.stack([raws & 0xFFFFFFFF, raws >> 32], axis=1).ravel()
+        m = words[starts[:, None] + np.arange(len(spans))] * spans
+        draws, rejected = (m >> 32).astype(np.int64), ((m & 0xFFFFFFFF) < (1 << 32) % spans).any(axis=1)
+        for link, more in self.extra.items():  # word by word: a span takes words until one is accepted
+            stream = iter(words[starts[link]:starts[link] + len(spans) + more].tolist())
+            draws[link] = [next((v >> 32 for w in stream if (v := w * s) & 0xFFFFFFFF >= (1 << 32) % s), -1)
+                           for s in spans.tolist()]
+            rejected[link] = draws[link, -1] < 0  # its words ran out
+        if rejected.any():
+            link = int(np.argmax(rejected))
+            self.extra[link] = self.extra.get(link, 0) + 1
+            return False
+        if self.floyd:
+            drawn = min(k, length - 1)
+            picks = np.pad(draws[:, :drawn], ((0, 0), (k - drawn, 0)))
+            for t in range(1, k):  # Floyd's draw in [0, j] picks j where an earlier step took it
+                picks[(picks[:, :t] == picks[:, t, None]).any(axis=1), t] = length - k + t
+        # numpy's shuffle of the last k of n slots, on one table: each link's last k, then each other slot it swaps
+        n, s = (k, draws[:, drawn:]) if self.floyd else (length, draws)
+        index, outside = rows[:, None] * k + s - (n - k), s < n - k
+        others, inverse = np.unique((rows[:, None] * n + s)[outside], return_inverse=True)
+        index[outside] = len(rows) * k + inverse
+        start = picks.ravel() if self.floyd else np.tile(np.arange(n - k, n), len(rows))
+        table = np.concatenate([start, others % n])
+        for t, j in enumerate(index.T):
+            table[rows * k + k - 1 - t], table[j] = table[j], table[rows * k + k - 1 - t]
+        # np.vecdot gives each row the bits of the 1-D link @ link
+        self.values /= np.sqrt(np.vecdot(self.values, self.values))[:, None]
+        self.taps[rows[:, None], table[:len(rows) * k].reshape(-1, k)] = self.values
+        return True
 
 
 def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,9 +296,10 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     ``k`` must be an integer in ``[1, L]`` and ``run`` one at least 0,
     else a ``ValueError`` names the one that is not.
     A channel draws its links rx outer, tx inner: K uniform positions
-    without replacement, bit for bit ``rng.choice(L, K, replace=False)``'s,
-    K standard normal values, again for any exact zero, then unit-energy
-    scaling. The first channel comes from the run's
+    without replacement, bit for bit ``rng.choice(L, K, replace=False)``'s
+    (a link's words in one call, judged once the run is drawn; a rejected
+    word draws the run again), K standard normal values, again for any exact
+    zero, then unit-energy scaling. The first channel comes from the run's
     channel stream; every later draw from its loop stream, in this order
     per iteration ``n >= 1``: a new channel when a fading period starts
     (``n % fading_period == 0``), one training sample per transmit antenna
@@ -312,36 +325,39 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     nt, nr, length, iterations = config.nt, config.nr, config.length, config.iterations
     kind, k, run = config.generator, _count("k", k, 1, length), _count("run", run, 0)
     period = config.fading_period or iterations
-    # every epoch's links, drawn in place; reshaped to (nr, nt * L) rows on return
+    # every epoch's links, placed once the run is drawn; reshaped to (nr, nt * L) rows on return
     channels = np.zeros((1 + (iterations - 1) // period, nr * nt, length))
-    _draw_links(channels[0], k, np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)))
-    rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
     stream = np.zeros((iterations, nt + nr))
     training, noise = stream[:, :nt], stream[:, nt:]
     uniforms = np.zeros((iterations, nt), dtype=np.float32) if kind == "bpsk" else None
-    ofdm_bits = []
     # the draws change pattern only where a fading period or an ofdm block
     # starts; in between they come in one block, or per iteration for bpsk
     step = SUBCARRIERS if kind == "ofdm" else iterations
     bounds = sorted({*range(1, iterations, step), *range(period, iterations, period)}) + [iterations]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if start % period == 0:
-            _draw_links(channels[start // period], k, rng)
-        if kind == "gaussian":
-            rng.standard_normal(out=stream[start:stop])
-        elif kind == "bpsk":
-            # rng.integers(0, 2) is the top bit of one 32-bit word (Lemire's
-            # method never rejects for a range of 2), and a float32 uniform
-            # is that same word >> 8: the uniform is >= 0.5 exactly when the
-            # bit is 1, and both take one word from the stream
-            for n in range(start, stop):
-                rng.random(out=uniforms[n], dtype=np.float32)
-                rng.standard_normal(out=noise[n])
-        else:
-            if (start - 1) % SUBCARRIERS == 0:
-                ofdm_bits.append((rng.integers(0, 2, (nt, SUBCARRIERS)),
-                                  rng.integers(0, 2, (nt, SUBCARRIERS))))
-            noise[start:stop] = rng.standard_normal((stop - start, nr))  # a column block takes no out=
+    placed, extra = False, {}
+    while not placed:  # from the seeds again if a support word is rejected; a redraw overwrites every row
+        links, ofdm_bits = _Links(channels.reshape(-1, length), k, extra), []
+        links.draw(np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)), nr * nt)
+        rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if start % period == 0:
+                links.draw(rng, nr * nt)
+            if kind == "gaussian":
+                rng.standard_normal(out=stream[start:stop])
+            elif kind == "bpsk":
+                # rng.integers(0, 2) is the top bit of one 32-bit word (Lemire's
+                # method never rejects for a range of 2), and a float32 uniform
+                # is that same word >> 8: the uniform is >= 0.5 exactly when the
+                # bit is 1, and both take one word from the stream
+                for n in range(start, stop):
+                    rng.random(out=uniforms[n], dtype=np.float32)
+                    rng.standard_normal(out=noise[n])
+            else:
+                if (start - 1) % SUBCARRIERS == 0:
+                    ofdm_bits.append((rng.integers(0, 2, (nt, SUBCARRIERS)),
+                                      rng.integers(0, 2, (nt, SUBCARRIERS))))
+                noise[start:stop] = rng.standard_normal((stop - start, nr))  # a column block takes no out=
+        placed = links.place()
     if kind == "bpsk":
         training[1:] = np.where(uniforms[1:] >= 0.5, 1.0, -1.0)
     elif kind == "ofdm" and ofdm_bits:

@@ -21,9 +21,14 @@ L = 16
 
 
 def _channel(nt, nr, length, sparsity, rng):
-    """One ``(nr, nt * L)`` channel epoch from the per-link draw ``draw_run`` uses."""
-    taps = np.zeros((nr * nt, length))
-    experiment._draw_links(taps, sparsity, rng)
+    """One ``(nr, nt * L)`` channel epoch from the link draw ``draw_run`` uses: both phases, and its redraw."""
+    start, extra, placed = rng.bit_generator.state, {}, False
+    while not placed:
+        rng.bit_generator.state = start  # a redraw starts where the first draw did
+        taps = np.zeros((nr * nt, length))
+        links = experiment._Links(taps, sparsity, extra)
+        links.draw(rng, nr * nt)
+        placed = links.place()
     return taps.reshape(nr, nt * length)
 
 
@@ -129,7 +134,9 @@ class TestChannel:
 
     @pytest.mark.parametrize(
         "nt,nr,length,sparsity",
-        [(1, 1, 16, 4), (1, 1, 16, 16), (2, 3, 1, 1), (3, 2, 5, 5), (4, 4, 64, 4), (4, 4, 64, 64)],
+        # the last takes numpy's tail shuffle, on 16 links at once
+        [(1, 1, 16, 4), (1, 1, 16, 16), (2, 3, 1, 1), (3, 2, 5, 5), (4, 4, 64, 4), (4, 4, 64, 64),
+         (4, 4, 10_050, 250)],
     )
     def test_matches_raw_draws(self, nt, nr, length, sparsity):
         for seed in range(60):
@@ -157,6 +164,7 @@ class TestChannel:
             pytest.param(10_001, 200, 3, False, id="floyd-at-boundary"),
             # and so is any K at L = 10000
             pytest.param(10_000, 201, 3, False, id="floyd-at-length-10000"),
+            pytest.param(10_000, 10_000, 3, False, id="floyd-k-equals-length-10000"),
         ],
     )
     def test_supports_are_choice_draws(self, length, sparsity, seed, spare):
@@ -177,6 +185,26 @@ class TestChannel:
         rng = np.random.default_rng(seed)
         rng.choice(10_000, 200, replace=False)
         assert rng.bit_generator.state["has_uint32"] == 0
+
+    def test_a_rejected_word_after_the_first_epoch_redraws_the_run(self, monkeypatch):
+        # Found by drawing runs 0-2999 of this config with a spy on _Links.place:
+        # runs 338, 567, 598 and 1703 draw again, for a rejected word of link
+        # 7, 3, 2 and 3. Run 567's link 3 is the first of epoch 1, on the loop
+        # stream, which starts on the spare word of iteration 1's third bpsk word
+        config = ExperimentConfig(nt=3, nr=1, length=10_000, sparsity=(200,), generator="bpsk",
+                                  iterations=5, fading_period=2)
+        place, placed = experiment._Links.place, []
+        monkeypatch.setattr(experiment._Links, "place",
+                            lambda links: placed.append((place(links), dict(links.extra))) or placed[-1][0])
+        got = draw_run(config, 200, 567)
+        assert placed == [(False, {3: 1}), (True, {3: 1})]
+        for a, b in zip(got, _reference_draws(config, 200, 567)):
+            assert a.tobytes() == b.tobytes()
+        # a run drawn in between, with no rejection, leaves the redraw as it was
+        draw_run(config, 200, 0)
+        assert placed[2:] == [(True, {})]
+        for a, b in zip(draw_run(config, 200, 567), got):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (1, 1)])
     def test_every_fading_epoch_has_k_sparse_unit_energy_links(self, nt, nr):
