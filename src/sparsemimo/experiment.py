@@ -51,6 +51,7 @@ LAMBDA_LP_NOISE_RATIO = 1e-4
 LAMBDA_L0_NOISE_RATIO = 1e-3
 TAIL_FRACTION = 0.2  # final share of a trace that steady_state_mse averages
 BLOCK = 64  # iterations run_single advances per array block
+EMULATED_K = 48  # largest K whose supports draw_run takes from raw words; rng.choice is as fast past it
 GENERATOR_KINDS = ("gaussian", "bpsk", "ofdm")
 SUBCARRIERS = 64
 
@@ -219,74 +220,63 @@ class _Links:
     """A run's links, drawn into ``taps``, zeroed ``(links, L)``, one row per link in draw order.
 
     A link's positions are bit for bit ``rng.choice(L, k, replace=False)``'s and
-    leave its generator where that call does: numpy's Floyd sampling or tail
-    shuffle, each draw taken by Lemire's method from a 32-bit word, the low
-    then the high half of a PCG64 output (numpy's way for spans below 2**32).
-    A word is rejected with odds below span / 2**32; the run is then drawn
-    again from its start, that link taking one more word (``extra``).
+    leave its generator where that call does: ``exact`` links make that call, the
+    others emulate numpy's Floyd sampling and shuffle, each draw by Lemire's
+    method from a 32-bit word, the low then the high half of a PCG64 output. A
+    rejected word (odds below span / 2**32) makes :meth:`place` place nothing.
     """
 
-    def __init__(self, taps: np.ndarray, k: int, extra: dict[int, int]):
+    def __init__(self, taps: np.ndarray, k: int, exact: bool):
         length = taps.shape[1]
-        self.floyd = length <= 10000 or k <= length // 50  # numpy's branch, by shape
-        # each word's span: Floyd's draws in [0, j], j from L - k (j 0 takes none), then its swaps; or the tail's
-        self.spans = np.array([*range(max(length - k, 1) + 1, length + 1), *range(k, 1, -1)] if self.floyd
-                              else range(length, max(length - k, 1), -1), dtype=np.uint64)
-        self.taps, self.k, self.extra, self.values = taps, k, extra, np.empty((len(taps), k))
-        self.raws, self.outputs, self.starts = [], 0, []  # outputs drawn; each link's first word among their halves
+        # each word's span: Floyd's draws in [0, j], j from L - k (j 0 takes none), then its swaps
+        self.spans = np.array([*range(max(length - k, 1) + 1, length + 1), *range(k, 1, -1)], dtype=np.uint64)
+        self.taps, self.k, self.exact, self.values = taps, k, exact, np.empty((len(taps), k))
+        # outputs drawn; each link's rng.choice if exact, else its first word among the outputs' halves
+        self.raws, self.outputs, self.supports = [], 0, []
 
     def draw(self, rng: np.random.Generator, links: int) -> None:
-        """The next ``links`` links from ``rng``: each one's words in one call, as if none is rejected, then values."""
-        bits = rng.bit_generator
-        spare, has_spare = (state := bits.state)["uinteger"], state["has_uint32"]
-        self.raws.append(np.array([spare << 32] * has_spare, dtype=np.uint64))  # a spare, as an output's high half
-        self.outputs += has_spare
-        for link in self.values[len(self.starts):len(self.starts) + links]:
-            count = len(self.spans) + self.extra.get(len(self.starts), 0)
-            self.starts.append(2 * self.outputs - has_spare)
-            self.raws.append(raws := bits.random_raw((count - has_spare + 1) // 2))
-            self.outputs, has_spare = self.outputs + raws.size, has_spare + 2 * raws.size - count
-            spare = int(raws[-1] >> 32) if raws.size else spare
+        """The next ``links`` links from ``rng``: each one's support, by ``rng.choice`` if exact, else
+        its words in one call as if none is rejected, for :meth:`place` to judge; then its values."""
+        bits, count = rng.bit_generator, len(self.spans)
+        if not self.exact:
+            spare, has_spare = (state := bits.state)["uinteger"], state["has_uint32"]
+            self.raws.append(np.array([spare << 32] * has_spare, dtype=np.uint64))  # a spare, as an output's high half
+            self.outputs += has_spare
+        for link in self.values[len(self.supports):len(self.supports) + links]:
+            if self.exact:
+                self.supports.append(rng.choice(self.taps.shape[1], self.k, replace=False))
+            else:
+                self.supports.append(2 * self.outputs - has_spare)
+                self.raws.append(raws := bits.random_raw((count - has_spare + 1) // 2))
+                self.outputs, has_spare = self.outputs + raws.size, has_spare + 2 * raws.size - count
+                spare = int(raws[-1] >> 32) if raws.size else spare
             rng.standard_normal(out=link)
             # an exact zero would shrink the support; redraw it (a list's all() is link.all(), for less)
             while not all(link.tolist()):
                 zero = link == 0.0
                 link[zero] = rng.standard_normal(int(zero.sum()))
-        bits.state = {**bits.state, "uinteger": spare, "has_uint32": has_spare}  # the normal draws moved it
+        if not self.exact:
+            bits.state = {**bits.state, "uinteger": spare, "has_uint32": has_spare}  # the normal draws moved it
 
     def place(self) -> bool:
-        """Judge the run's words at once and place every link; on a rejected word, False and one more in ``extra``."""
+        """Place every link, judging the run's words at once; False, placing none, if a word is rejected."""
         k, length, spans, rows = self.k, self.taps.shape[1], self.spans, np.arange(len(self.taps))
-        starts, raws = np.array(self.starts), np.concatenate(self.raws)
-        words = np.stack([raws & 0xFFFFFFFF, raws >> 32], axis=1).ravel()
-        m = words[starts[:, None] + np.arange(len(spans))] * spans
-        draws, rejected = (m >> 32).astype(np.int64), ((m & 0xFFFFFFFF) < (1 << 32) % spans).any(axis=1)
-        for link, more in self.extra.items():  # word by word: a span takes words until one is accepted
-            stream = iter(words[starts[link]:starts[link] + len(spans) + more].tolist())
-            draws[link] = [next((v >> 32 for w in stream if (v := w * s) & 0xFFFFFFFF >= (1 << 32) % s), -1)
-                           for s in spans.tolist()]
-            rejected[link] = draws[link, -1] < 0  # its words ran out
-        if rejected.any():
-            link = int(np.argmax(rejected))
-            self.extra[link] = self.extra.get(link, 0) + 1
-            return False
-        if self.floyd:
-            drawn = min(k, length - 1)
+        picks = np.array(self.supports)  # exact links' own; else where each link's words start
+        if not self.exact:
+            raws = np.concatenate(self.raws)
+            words = np.stack([raws & 0xFFFFFFFF, raws >> 32], axis=1).ravel()
+            m = words[picks[:, None] + np.arange(len(spans))] * spans
+            if ((m & 0xFFFFFFFF) < (1 << 32) % spans).any():
+                return False
+            draws, drawn = (m >> 32).astype(np.int64), min(k, length - 1)
             picks = np.pad(draws[:, :drawn], ((0, 0), (k - drawn, 0)))
             for t in range(1, k):  # Floyd's draw in [0, j] picks j where an earlier step took it
                 picks[(picks[:, :t] == picks[:, t, None]).any(axis=1), t] = length - k + t
-        # numpy's shuffle of the last k of n slots, on one table: each link's last k, then each other slot it swaps
-        n, s = (k, draws[:, drawn:]) if self.floyd else (length, draws)
-        index, outside = rows[:, None] * k + s - (n - k), s < n - k
-        others, inverse = np.unique((rows[:, None] * n + s)[outside], return_inverse=True)
-        index[outside] = len(rows) * k + inverse
-        start = picks.ravel() if self.floyd else np.tile(np.arange(n - k, n), len(rows))
-        table = np.concatenate([start, others % n])
-        for t, j in enumerate(index.T):
-            table[rows * k + k - 1 - t], table[j] = table[j], table[rows * k + k - 1 - t]
+            for i, j in zip(range(k - 1, 0, -1), draws[:, drawn:].T):  # numpy's shuffle: slot i swaps with j in [0, i]
+                picks[rows, i], picks[rows, j] = picks[rows, j], picks[rows, i]
         # np.vecdot gives each row the bits of the 1-D link @ link
         self.values /= np.sqrt(np.vecdot(self.values, self.values))[:, None]
-        self.taps[rows[:, None], table[:len(rows) * k].reshape(-1, k)] = self.values
+        self.taps[rows[:, None], picks] = self.values
         return True
 
 
@@ -297,15 +287,16 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     else a ``ValueError`` names the one that is not.
     A channel draws its links rx outer, tx inner: K uniform positions
     without replacement, bit for bit ``rng.choice(L, K, replace=False)``'s
-    (a link's words in one call, judged once the run is drawn; a rejected
-    word draws the run again), K standard normal values, again for any exact
-    zero, then unit-energy scaling. The first channel comes from the run's
-    channel stream; every later draw from its loop stream, in this order
-    per iteration ``n >= 1``: a new channel when a fading period starts
+    (up to ``EMULATED_K`` from a link's words in one call, judged once the
+    run is drawn; past it, or in the redraw a rejected word makes, by that
+    call), K standard normal values, again for any exact zero, then
+    unit-energy scaling. The first channel comes from the run's channel
+    stream; every later draw from its loop stream, in this order per
+    iteration ``n >= 1``: a new channel when a fading period starts
     (``n % fading_period == 0``), one training sample per transmit antenna
-    and one unit-scale noise sample per receive antenna. Only the config's
-    draw parameters are read (seed, antenna counts, L, iterations,
-    generator, fading period). A training sample is real, of these kinds:
+    and one unit-scale noise sample per receive antenna. Only the config's draw
+    parameters are read (seed, antenna counts, L, iterations, generator,
+    fading period). A training sample is real, of these kinds:
 
     * ``gaussian`` -- zero-mean unit-power normal samples (default).
     * ``bpsk``     -- equiprobable +/-1.
@@ -334,9 +325,9 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     # starts; in between they come in one block, or per iteration for bpsk
     step = SUBCARRIERS if kind == "ofdm" else iterations
     bounds = sorted({*range(1, iterations, step), *range(period, iterations, period)}) + [iterations]
-    placed, extra = False, {}
-    while not placed:  # from the seeds again if a support word is rejected; a redraw overwrites every row
-        links, ofdm_bits = _Links(channels.reshape(-1, length), k, extra), []
+    # past EMULATED_K, or once a support word is rejected, from the seeds by rng.choice; a redraw overwrites every row
+    for exact in (k > EMULATED_K, True):
+        links, ofdm_bits = _Links(channels.reshape(-1, length), k, exact), []
         links.draw(np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)), nr * nt)
         rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -357,7 +348,8 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
                     ofdm_bits.append((rng.integers(0, 2, (nt, SUBCARRIERS)),
                                       rng.integers(0, 2, (nt, SUBCARRIERS))))
                 noise[start:stop] = rng.standard_normal((stop - start, nr))  # a column block takes no out=
-        placed = links.place()
+        if links.place():
+            break
     if kind == "bpsk":
         training[1:] = np.where(uniforms[1:] >= 0.5, 1.0, -1.0)
     elif kind == "ofdm" and ofdm_bits:

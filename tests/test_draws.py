@@ -21,15 +21,24 @@ L = 16
 
 
 def _channel(nt, nr, length, sparsity, rng):
-    """One ``(nr, nt * L)`` channel epoch from the link draw ``draw_run`` uses: both phases, and its redraw."""
-    start, extra, placed = rng.bit_generator.state, {}, False
-    while not placed:
+    """One ``(nr, nt * L)`` channel epoch from the link draw ``draw_run`` uses: emulated up to
+    ``EMULATED_K``, past it or after a rejected word by ``rng.choice``."""
+    start = rng.bit_generator.state
+    for exact in (sparsity > experiment.EMULATED_K, True):
         rng.bit_generator.state = start  # a redraw starts where the first draw did
         taps = np.zeros((nr * nt, length))
-        links = experiment._Links(taps, sparsity, extra)
+        links = experiment._Links(taps, sparsity, exact)
         links.draw(rng, nr * nt)
-        placed = links.place()
-    return taps.reshape(nr, nt * length)
+        if links.place():
+            return taps.reshape(nr, nt * length)
+
+
+def _spy_on_place(monkeypatch):
+    """The list that each later ``_Links.place`` call appends its result and its links' ``exact`` to."""
+    place, placed = experiment._Links.place, []
+    monkeypatch.setattr(experiment._Links, "place",
+                        lambda links: placed.append((place(links), links.exact)) or placed[-1][0])
+    return placed
 
 
 class _LoggedPCG64(np.random.PCG64):
@@ -134,7 +143,7 @@ class TestChannel:
 
     @pytest.mark.parametrize(
         "nt,nr,length,sparsity",
-        # the last takes numpy's tail shuffle, on 16 links at once
+        # K 64 and 250 are past EMULATED_K, so rng.choice's own
         [(1, 1, 16, 4), (1, 1, 16, 16), (2, 3, 1, 1), (3, 2, 5, 5), (4, 4, 64, 4), (4, 4, 64, 64),
          (4, 4, 10_050, 250)],
     )
@@ -152,19 +161,23 @@ class TestChannel:
             # one float32 drawn first leaves the epoch a spare word to start on
             pytest.param(16, 4, 7, True, id="spare-word"),
             pytest.param(16, 16, 7, True, id="k-equals-length"),
-            # each seed's first link rejects one word (Lemire's method)
-            pytest.param(10_000, 200, 385, False, id="rejection-385"),
-            pytest.param(10_000, 200, 1244, False, id="rejection-1244"),
-            pytest.param(10_000, 200, 9436, False, id="rejection-9436"),
-            # numpy's tail shuffle: L > 10000 and K > L // 50
+            # one word of each seed's epoch is rejected (Lemire's method): of its
+            # first link, of its second, and of its first after a spare word
+            pytest.param(100_000, 48, 1822, False, id="rejection-1822"),
+            pytest.param(100_000, 48, 1875, False, id="rejection-1875"),
+            pytest.param(100_000, 48, 1659, True, id="rejection-1659-spare"),
+            # the largest K emulated, and the smallest that rng.choice draws
+            pytest.param(64, 48, 3, False, id="emulated-k-48"),
+            pytest.param(64, 48, 3, True, id="emulated-k-48-spare"),
+            pytest.param(64, 49, 3, False, id="choice-k-49"),
+            pytest.param(64, 49, 3, True, id="choice-k-49-spare"),
+            # rng.choice's own supports: numpy's tail shuffle (L > 10000 and
+            # K > L // 50), then its Floyd sampling at K in the thousands
             pytest.param(10_050, 250, 3, False, id="tail"),
             pytest.param(12_000, 5_000, 3, True, id="tail-wide"),
             pytest.param(10_050, 10_050, 3, False, id="tail-k-equals-length"),
-            # K = L // 50 at L > 10000 is still Floyd's
-            pytest.param(10_001, 200, 3, False, id="floyd-at-boundary"),
-            # and so is any K at L = 10000
-            pytest.param(10_000, 201, 3, False, id="floyd-at-length-10000"),
-            pytest.param(10_000, 10_000, 3, False, id="floyd-k-equals-length-10000"),
+            pytest.param(10_000, 2_000, 3, False, id="k-2000-of-10000"),
+            pytest.param(10_000, 10_000, 3, False, id="k-equals-length-10000"),
         ],
     )
     def test_supports_are_choice_draws(self, length, sparsity, seed, spare):
@@ -177,34 +190,33 @@ class TestChannel:
         assert rows.tobytes() == raw_rows(2, 1, length, sparsity, raw_rng).tobytes()
         assert rng.bit_generator.state == raw_rng.bit_generator.state
 
-    @pytest.mark.parametrize("seed", [385, 1244, 9436])
-    def test_rejection_seeds_reject(self, seed):
-        # Floyd at L 10000, K 200 takes 200 + 199 words without a rejection,
-        # from a fresh generator an odd count that leaves a spare; an odd
-        # count of rejections takes it
+    @pytest.mark.parametrize("seed,spare", [(1822, False), (1875, False), (1659, True)])
+    def test_rejection_seeds_reject(self, seed, spare, monkeypatch):
+        # the rejection-* epochs above: judged in bulk, their words hold a
+        # rejected one, so they are drawn again, by rng.choice
+        placed = _spy_on_place(monkeypatch)
         rng = np.random.default_rng(seed)
-        rng.choice(10_000, 200, replace=False)
-        assert rng.bit_generator.state["has_uint32"] == 0
+        if spare:
+            rng.random(dtype=np.float32)
+        _channel(2, 1, 100_000, 48, rng)
+        assert placed == [(False, False), (True, True)]
 
     def test_a_rejected_word_after_the_first_epoch_redraws_the_run(self, monkeypatch):
-        # Found by drawing runs 0-2999 of this config with a spy on _Links.place:
-        # runs 338, 567, 598 and 1703 draw again, for a rejected word of link
-        # 7, 3, 2 and 3. Run 567's link 3 is the first of epoch 1, on the loop
-        # stream, which starts on the spare word of iteration 1's third bpsk word
-        config = ExperimentConfig(nt=3, nr=1, length=10_000, sparsity=(200,), generator="bpsk",
+        # Found by drawing runs 0-999 of this config with a spy on _Links.place:
+        # only run 383 draws again, for word 26 of link 7, the second link of
+        # epoch 2, on the loop stream
+        config = ExperimentConfig(nt=3, nr=1, length=100_000, sparsity=(32,), generator="bpsk",
                                   iterations=5, fading_period=2)
-        place, placed = experiment._Links.place, []
-        monkeypatch.setattr(experiment._Links, "place",
-                            lambda links: placed.append((place(links), dict(links.extra))) or placed[-1][0])
-        got = draw_run(config, 200, 567)
-        assert placed == [(False, {3: 1}), (True, {3: 1})]
-        for a, b in zip(got, _reference_draws(config, 200, 567)):
+        placed = _spy_on_place(monkeypatch)
+        got = draw_run(config, 32, 383)
+        assert placed == [(False, False), (True, True)]
+        for a, b in zip(got, _reference_draws(config, 32, 383)):
             assert a.tobytes() == b.tobytes()
-        # a run drawn in between, with no rejection, leaves the redraw as it was
-        draw_run(config, 200, 0)
-        assert placed[2:] == [(True, {})]
-        for a, b in zip(draw_run(config, 200, 567), got):
-            assert a.tobytes() == b.tobytes()
+        # a run with no rejected word is drawn once: emulated up to EMULATED_K, past it by rng.choice
+        for k, exact in ((32, False), (experiment.EMULATED_K, False), (experiment.EMULATED_K + 1, True)):
+            placed.clear()
+            draw_run(config, k, 0)
+            assert placed == [(True, exact)], k
 
     @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (1, 1)])
     def test_every_fading_epoch_has_k_sparse_unit_energy_links(self, nt, nr):
