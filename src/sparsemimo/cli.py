@@ -303,8 +303,7 @@ def replay_manifest(manifest_path, out_path, workers: int = 1) -> GridResult:
 
 
 PLOT_TEMPLATE = """#!/usr/bin/env python3
-# Learning-curve plot template for {comment}
-# The CSV is long format with header:
+# Learning-curve plot template. The CSV is long format with header:
 #   {header}
 # Each (algorithm, snr_db, mu, k, nt, nr) combination is one curve of
 # avg_mse_db against iteration.
@@ -373,12 +372,8 @@ def main(argv=None) -> int:
         emit_csv(result, args.out)
         RunManifest.collect(config, result, started, finished).write(manifest)
         if args.plot_script:
-            # a line break in the path would end the comment line and start code;
-            # a byte that is not UTF-8 comes as a lone surrogate, which UTF-8 cannot hold
-            comment = str(args.out).encode("utf-8", "backslashreplace").decode()
-            comment = comment.replace("\r", "\\r").replace("\n", "\\n")
-            with open(args.plot_script, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(PLOT_TEMPLATE.format(csv=str(args.out), comment=comment, header=CSV_HEADER))
+            # the script names the CSV only through repr, which escapes a line break or a lone surrogate
+            args.plot_script.write_text(PLOT_TEMPLATE.format(csv=str(args.out), header=CSV_HEADER), "utf-8", newline="\n")
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_IO

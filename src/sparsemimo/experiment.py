@@ -158,16 +158,7 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _count(name, value, 0 if name == "seed" else 1))
         object.__setattr__(self, "sparsity", tuple(_count("k", k, 1, self.length) for k in self.sparsity))
         for snr in self.snr_db:
-            if snr != math.inf:
-                # NaN, -inf and anything past about +-3082.5 dB give no
-                # finite positive variance, as 10 ** (snr / 10) overflows or underflows
-                try:
-                    variance = snr_to_variance(snr)
-                except (OverflowError, ZeroDivisionError):
-                    variance = math.nan
-                if not 0 < variance < math.inf:
-                    raise ValueError(f"snr_db: {snr} dB has no finite positive noise variance "
-                                     "(finite SNRs must lie within about +-3082.5 dB; use inf for noiseless)")
+            snr_to_variance(snr)
         for m in self.mu:
             if not 0 < m < 2:
                 raise ValueError(f"mu: step sizes must lie in (0, 2), got {m}")
@@ -212,8 +203,16 @@ def _realization_seed(config: ExperimentConfig, k: int, run: int, stream: int) -
 
 
 def snr_to_variance(snr_db: float) -> float:
-    """Noise power for a given SNR in dB at unit signal power; ``inf`` maps to the noiseless 0."""
-    return 1.0 / 10.0 ** (snr_db / 10.0)
+    """Noise power for a given SNR in dB at unit signal power; ``inf`` maps to the noiseless 0, and any other SNR
+    whose power is not finite and positive (NaN, -inf, past about +-3082.5 dB) raises a ``ValueError``."""
+    try:
+        variance = 1.0 / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        variance = math.nan
+    if not 0 < variance < math.inf and snr_db != math.inf:
+        raise ValueError(f"snr_db: {snr_db} dB has no finite positive noise variance "
+                         "(finite SNRs must lie within about +-3082.5 dB; use inf for noiseless)")
+    return variance
 
 
 class _Links:
@@ -321,13 +320,15 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
     stream = np.zeros((iterations, nt + nr))
     training, noise = stream[:, :nt], stream[:, nt:]
     uniforms = np.zeros((iterations, nt), dtype=np.float32) if kind == "bpsk" else None
+    # each ofdm block's real, then imaginary, bits in one call: a 32-bit word a bit, as two calls draw them
+    ofdm_bits = np.zeros(((iterations + SUBCARRIERS - 2) // SUBCARRIERS, 2, nt, SUBCARRIERS)) if kind == "ofdm" else None
     # the draws change pattern only where a fading period or an ofdm block
     # starts; in between they come in one block, or per iteration for bpsk
     step = SUBCARRIERS if kind == "ofdm" else iterations
     bounds = sorted({*range(1, iterations, step), *range(period, iterations, period)}) + [iterations]
     # past EMULATED_K, or once a support word is rejected, from the seeds by rng.choice; a redraw overwrites every row
     for exact in (k > EMULATED_K, True):
-        links, ofdm_bits = _Links(channels.reshape(-1, length), k, exact), []
+        links = _Links(channels.reshape(-1, length), k, exact)
         links.draw(np.random.default_rng(_realization_seed(config, k, run, _STREAM_CHANNEL)), nr * nt)
         rng = np.random.default_rng(_realization_seed(config, k, run, _STREAM_LOOP))
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -345,15 +346,14 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
                     rng.standard_normal(out=noise[n])
             else:
                 if (start - 1) % SUBCARRIERS == 0:
-                    ofdm_bits.append((rng.integers(0, 2, (nt, SUBCARRIERS)),
-                                      rng.integers(0, 2, (nt, SUBCARRIERS))))
+                    ofdm_bits[start // SUBCARRIERS] = rng.integers(0, 2, (2, nt, SUBCARRIERS))
                 noise[start:stop] = rng.standard_normal((stop - start, nr))  # a column block takes no out=
         if links.place():
             break
     if kind == "bpsk":
         training[1:] = np.where(uniforms[1:] >= 0.5, 1.0, -1.0)
-    elif kind == "ofdm" and ofdm_bits:
-        re, im = (np.array(bits) * 2.0 - 1.0 for bits in zip(*ofdm_bits))
+    elif kind == "ofdm":
+        re, im = ofdm_bits.swapaxes(0, 1) * 2.0 - 1.0
         blocks = (np.fft.ifft((re + 1j * im) / math.sqrt(2.0), axis=-1) * math.sqrt(SUBCARRIERS)).real * math.sqrt(2.0)
         # (blocks, nt, SUBCARRIERS) -> samples in time order, one row each
         training[1:] = blocks.transpose(0, 2, 1).reshape(-1, nt)[:iterations - 1]

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def raw_rows(nt, nr, length, sparsity, rng):
@@ -89,4 +90,33 @@ def reference_squared_errors(draws, config, algorithm, snr_db, mu):
             e = clean + (0.0 + std * noise[n][r]) - sum(hi * xi for hi, xi in zip(estimates[r], x))
             estimates[r] = reference_step(algorithm, estimates[r], x, e, energy, mu, **knobs)
         squared.append(sum((a - b) ** 2 for row, estimate in zip(rows, estimates) for a, b in zip(row, estimate)))
+    return squared
+
+
+def support_oracle_squared_errors(draws, config, snr_db, mu):
+    """Each realization's squared error per iteration under the support oracle, ``(realizations, iterations)``.
+
+    The oracle is NLMS that knows each link's support: a step updates only the
+    taps where the channel epoch in force is nonzero, scaled by
+    ``mu * e / (1e-12 + energy)`` of the whole regressor's energy (the support
+    part's alone has an infinite mean at nt * K = 2 taps). Regressors, noise
+    and entries are those of :func:`reference_squared_errors`, on arrays
+    stacked over the realizations of ``draws``; the a-priori error is
+    ``(h - hhat) @ x`` plus the noise, equal to it up to rounding.
+    """
+    channels, training, noise = (np.stack(arrays) for arrays in zip(*draws))
+    count, iterations, nt = training.shape
+    length, period = config.length, config.fading_period or config.iterations
+    std = math.sqrt(10.0 ** (-snr_db / 10.0))
+    # regressor n: tap t * L + l is antenna t's sample n - l, zero before the start
+    padded = np.concatenate([np.zeros((count, length - 1, nt)), training], axis=1)
+    xs = sliding_window_view(padded, length, axis=1)[..., ::-1].reshape(count, iterations, nt * length)
+    estimates = np.zeros_like(channels[:, 0])
+    squared = np.empty((count, iterations))
+    squared[:, 0] = np.sum(channels[:, 0] ** 2, axis=(1, 2))
+    for n in range(1, iterations):
+        h, x = channels[:, n // period], xs[:, n, None, :]
+        e = np.sum((h - estimates) * x, axis=2) + std * noise[:, n]
+        estimates += (h != 0.0) * (mu * e / (1e-12 + np.sum(x * x, axis=2)))[:, :, None] * x
+        squared[:, n] = np.sum((h - estimates) ** 2, axis=(1, 2))
     return squared

@@ -25,7 +25,7 @@ from sparsemimo.experiment import (
     steady_state_mse,
 )
 
-from oracles import reference_squared_errors
+from oracles import reference_squared_errors, support_oracle_squared_errors
 
 
 def _tiny_config(**overrides):
@@ -460,6 +460,20 @@ class TestConfigValidation:
         config = ExperimentConfig(snr_db=(-3082.5, 3082.5, math.inf))
         assert [0 < snr_to_variance(snr) < math.inf for snr in config.snr_db[:2]] == [True, True]
 
+    @pytest.mark.parametrize("snr, variance", [
+        (math.nan, None), (-math.inf, None), (3083.0, None), (-3100.0, None), (-3300.0, None),
+        (3082.5, 5.62341325190349e-309), (-3082.5, 1.7782794100389222e308), (math.inf, 0.0),
+    ])
+    def test_snr_to_variance_refuses_a_power_that_is_not_finite_and_positive(self, snr, variance):
+        # the config refuses an SNR by this one rule: 10 ** (snr / 10) overflows
+        # at 3083 dB and is 0 at -3300 dB and -inf; 1 / 10 ** (snr / 10) is inf
+        # at -3100 dB and nan at NaN. Only inf may give the noiseless 0
+        if variance is None:
+            with pytest.raises(ValueError, match="^snr_db: "):
+                snr_to_variance(snr)
+        else:
+            assert snr_to_variance(snr) == variance
+
 
 class TestRunGrid:
     def test_result_is_a_dict(self):
@@ -659,10 +673,22 @@ def _gain_interval(x, y):
     return gain - half, gain + half
 
 
+# the K at which the sparse rules also run at 3x their default weights
+_STRONG = (1, 4, 8)
+
+
 def _weight_gains(algorithm, k):
     """The paired intervals of ``algorithm``'s gain over NLMS on ``_THEORY`` at K 1 or 8, weights at 1x and 3x."""
     nlms, default = (_tails(name)[_THEORY.sparsity.index(k)] for name in ("nlms", algorithm))
-    return _gain_interval(nlms, default), _gain_interval(nlms, _tails(algorithm, (1, 8), 3.0)[(1, 8).index(k)])
+    return _gain_interval(nlms, default), _gain_interval(nlms, _tails(algorithm, _STRONG, 3.0)[_STRONG.index(k)])
+
+
+@functools.cache
+def _oracle_tails():
+    """Each run's steady-state MSE under the support oracle on ``_THEORY``'s draws at each K in ``_STRONG``."""
+    draws = [draw_run(_THEORY, k, run) for k in _STRONG for run in range(_THEORY.runs)]
+    squared = support_oracle_squared_errors(draws, _THEORY, _THEORY.snr_db[0], _THEORY.mu[0])
+    return np.array([steady_state_mse(curve) for curve in squared]).reshape(len(_STRONG), _THEORY.runs)
 
 
 class TestTheory:
@@ -716,6 +742,27 @@ class TestTheory:
         one, three = _weight_gains(algorithm, k)
         better, worse = (three, one) if stronger_pays else (one, three)
         assert better[0] > worse[1], (one, three)
+
+    def test_the_support_oracle_at_a_full_support_is_nlms(self):
+        # at K = L every tap is on the support, so the oracle is plain NLMS, which the float reference runs
+        config = _tiny_config(length=4, sparsity=(4,), iterations=100, fading_period=30)
+        draws = [draw_run(config, 4, run) for run in range(2)]
+        expected = [reference_squared_errors(draw, config, "nlms", 10.0, 0.5) for draw in draws]
+        np.testing.assert_allclose(support_oracle_squared_errors(draws, config, 10.0, 0.5), expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", _STRONG)
+    def test_no_rule_floor_crosses_the_support_oracle(self, k):
+        # NLMS that updates only the true support is the floor a sparse rule
+        # aims at (the oracle estimator of Candes & Tao, Ann. Stat. 2007). Each
+        # rule, at its default and 3x weights, stays above it on the same
+        # draws: the oracle reads -24.52 / -18.44 / -15.37 dB at K 1 / 4 / 8,
+        # and the smallest gap, the best rule's, +3.56 +- 0.25 / +2.64 +- 0.50 /
+        # +1.75 +- 0.17 dB (l0_nlms at 3x, 3x and 1x). Statistics only, no bits pinned
+        oracle = _oracle_tails()[_STRONG.index(k)]
+        floors = {name: _tails(name)[_THEORY.sparsity.index(k)] for name in ("nlms", "lp_nlms", "l0_nlms")}
+        floors |= {f"{name} 3x": _tails(name, _STRONG, 3.0)[_STRONG.index(k)] for name in ("lp_nlms", "l0_nlms")}
+        gaps = {name: _gain_interval(floor, oracle) for name, floor in floors.items()}
+        assert all(low > 0 for low, _ in gaps.values()), gaps
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_l0_beats_lp_at_each_rules_better_weight(self, k):

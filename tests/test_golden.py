@@ -86,7 +86,7 @@ CLI_PINS = {
     "csv": "019d07886b22baea0bac7090a50f6cd4a8d8ab022f434161d965a246feba0830",
     "manifest": "4d0dd2271932faa3aad4e884bf8e54aa3f28dc424fe8a9e1f049b14fd46b2544",
     "stdout": "412ec4b0df0bf0826732dce32692234abd534b8d491e9d39d9b4f52a60d406dd",
-    "plot": "cf4507ccd1c09329b44732db7af32efb7143f70cd668ee7b83f32b8441691e33",
+    "plot": "42a227d9e2d41f7ac7c3f6919a065876ea9dd031a67153deb7a530bd29935a80",
 }
 
 
