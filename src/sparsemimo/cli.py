@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config: cannot read {path}: {exc}") from None
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,7 +216,7 @@ def emit_summary(traces) -> str:
             ks = ",".join(str(k) for k in sorted(per_k))
             out.append(
                 f"{alg} sparsity sensitivity at nt={nt} nr={nr} snr_db={snr:g} mu={mu:g}: "
-                f"spread over k={{{ks}}} is {hi - lo:.2f} dB"
+                f"spread over k={{{ks}}} is {0.0 if hi == lo else hi - lo:.2f} dB"  # == for -inf
             )
     return "\n".join(out) + "\n"
 

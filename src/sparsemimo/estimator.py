@@ -18,9 +18,9 @@ without ``out``.
 * ``nlms``     step normalized by the regressor energy,
                h += mu * e * x / (NLMS_DELTA + x.x)
 * ``lp_nlms``  NLMS minus a fractional-norm zero attractor scaled by
-               rho_lp = mu * lambda_lp
+               rho = mu * lambda_lp
 * ``l0_nlms``  NLMS minus a piecewise-linear attractor acting only on taps
-               inside the band |h| <= 1/beta, scaled by rho_l0
+               inside the band |h| <= 1/beta, scaled by rho = mu * lambda_l0
 
 The sparse variants subtract the gradient of their sparsity penalty,
 evaluated at the pre-update estimate, so small taps are dragged toward
@@ -29,16 +29,16 @@ smooth exponential attractor (the exact penalty gradient that the
 piecewise rule approximates), its penalty and the one-row Lp norm live in
 the tests, as oracles.
 
-:class:`HyperParams` refuses a rule name outside ``ALGORITHMS`` when it is
-built, so :func:`update` never checks it. Neither of them nor the
-attractors validate the knobs or check the result for finiteness:
-``ExperimentConfig`` validates the knobs once, and a run checks its squared
-errors once per block of iterations.
+:class:`HyperParams` holds the knobs and not rho, which :func:`update` forms
+where it applies the attractor. It refuses a rule name outside
+``ALGORITHMS`` when it is built, so :func:`update` never checks it. Neither
+of them nor the attractors validate the knobs or check the result for
+finiteness: ``ExperimentConfig`` validates the knobs once, and a run checks
+its squared errors once per block of iterations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +59,9 @@ NLMS_DELTA = 1e-12
 class HyperParams:
     """Full description of one update rule: its name, one of ``ALGORITHMS``, and its knobs.
 
-    ``lambda_lp``/``lambda_l0`` weigh the sparsity penalties; the effective
-    attractor strengths are ``rho_lp = mu * lambda_lp`` and
-    ``rho_l0 = mu * lambda_l0``. ``p`` is the fractional norm exponent,
+    ``lambda_lp``/``lambda_l0`` weigh the sparsity penalties; :func:`update`
+    scales each attractor by ``rho = mu * lambda``, which this record does
+    not hold. ``p`` is the fractional norm exponent,
     ``epsilon`` guards the attractor denominator near zero taps, and
     ``1/beta`` is the half-width of the piecewise attractor's active band.
     """
@@ -77,14 +77,6 @@ class HyperParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-
-    @cached_property
-    def rho_lp(self) -> float:
-        return self.mu * self.lambda_lp
-
-    @cached_property
-    def rho_l0(self) -> float:
-        return self.mu * self.lambda_l0
 
 
 def lp_attractor(h, p: float, epsilon: float) -> np.ndarray:
@@ -129,10 +121,10 @@ def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
     out = np.add(h, step, out=out)
     if algorithm == "lp_nlms":
         attractor = lp_attractor(h, hyper.p, hyper.epsilon)
-        attractor *= hyper.rho_lp
+        attractor *= hyper.mu * hyper.lambda_lp
         out -= attractor
     elif algorithm == "l0_nlms":
         attractor = j_attractor(h, hyper.beta)
-        attractor *= hyper.rho_l0
+        attractor *= hyper.mu * hyper.lambda_l0
         out -= attractor
     return out

@@ -162,13 +162,14 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text, message", [
         (None, "config: cannot read {path}: "),
-        ("runs 7\n", "config: {path}:1: expected key=value, got 'runs 7'"),
-        ("stepsize = 0.5\n", "config: unknown key 'stepsize' at {path}:1"),
-    ], ids=["missing", "bad-line", "unknown-key"])
+        (b"runs = 7\n# caf\xe9\n", "config: cannot read {path}: "),  # Latin-1, not UTF-8
+        (b"runs 7\n", "config: {path}:1: expected key=value, got 'runs 7'"),
+        (b"stepsize = 0.5\n", "config: unknown key 'stepsize' at {path}:1"),
+    ], ids=["missing", "not-utf-8", "bad-line", "unknown-key"])
     def test_config_file_errors_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
         if text is not None:
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text)
         with pytest.raises(ValueError, match="^" + re.escape(message.format(path=path))):
             parse_config(["--config", str(path)])
 
@@ -276,6 +277,14 @@ class TestEmitSummary:
         zero, small = _trace([1.0] + [0.0] * 9), _trace([1e-2] * 10)
         assert "verdict: l0_nlms ~ nlms\n" in emit_summary({_key("nlms"): zero, _key("l0_nlms"): zero})
         assert "verdict: nlms < l0_nlms\n" in emit_summary({_key("nlms"): zero, _key("l0_nlms"): small})
+
+    def test_equal_zero_floors_spread_by_zero(self):
+        # two -inf dB floors tie in the verdict, so their spread is 0, not -inf - -inf
+        zero, small = _trace([1.0] + [0.0] * 9), _trace([1e-2] * 10)
+        text = emit_summary({_key("nlms", k=1): zero, _key("nlms", k=4): zero})
+        assert text.endswith("spread over k={1,4} is 0.00 dB\n")
+        text = emit_summary({_key("nlms", k=1): zero, _key("nlms", k=4): small})
+        assert text.endswith("spread over k={1,4} is inf dB\n")
 
     def test_sparsity_spread_reported(self):
         traces = {
@@ -500,9 +509,9 @@ class TestMainAndManifest:
     @pytest.mark.parametrize("name", ["a\nimport os\nb.csv", "a\rimport os\rb.csv", "a\udcffb.csv"],
                              ids=["lf", "cr", "not-utf-8"])
     def test_any_csv_path_gives_the_plot_script_of_an_ordinary_one(self, tmp_path, name):
-        # the path is quoted in the script's open() call, and in its first
-        # comment line, which a raw line break would end; a byte that is not
-        # UTF-8, say 0xff, reaches Python as a lone surrogate
+        # the path appears only in the script's open() call, quoted by repr,
+        # where a raw line break would end the string literal; a byte that
+        # is not UTF-8, say 0xff, reaches Python as a lone surrogate
         statements = []
         for out in (tmp_path / "res.csv", tmp_path / name):
             script = tmp_path / "plot.py"

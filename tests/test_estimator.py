@@ -337,10 +337,3 @@ class TestCommonUpdateContract:
         alone, alone_finite = run_single(draws, replace(config, mu=(0.005,)), "lms")
         assert alone_finite.tolist() == [[True]]
         assert squared[0, 0].tobytes() == alone[0, 0].tobytes()
-
-
-class TestHyperParams:
-    def test_rho_products(self):
-        hyper = HyperParams(mu=0.5, lambda_lp=2e-4, lambda_l0=3e-3)
-        assert hyper.rho_lp == pytest.approx(1e-4)
-        assert hyper.rho_l0 == pytest.approx(1.5e-3)
