@@ -254,7 +254,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        values = _exact_keys(json.loads(Path(path).read_text(encoding="utf-8")), cls)
+        try:
+            values = _exact_keys(json.loads(Path(path).read_text(encoding="utf-8")), cls)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"manifest: cannot read {path}: {exc}") from None
         return cls(**{**values, "config": ExperimentConfig(**_exact_keys(values["config"], ExperimentConfig, "config"))})
 
 

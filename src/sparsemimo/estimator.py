@@ -107,7 +107,7 @@ def j_attractor(h, beta: float) -> np.ndarray:
     return np.where(inside, 2.0 * beta * np.sign(h) - 2.0 * beta**2 * h, 0.0)
 
 
-def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float,
+def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float | np.ndarray,
            energy: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The next estimate under the rule ``hyper.algorithm`` names, in ``out`` if given."""
     algorithm = hyper.algorithm

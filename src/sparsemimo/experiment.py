@@ -361,7 +361,7 @@ def draw_run(config: ExperimentConfig, k: int, run: int) -> tuple[np.ndarray, np
 
 
 def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: ExperimentConfig,
-               algorithm: str) -> tuple[np.ndarray, np.ndarray]:
+               algorithm: str) -> np.ndarray:
     """Adaptive identification runs of ``algorithm``, one per realization and cell.
 
     ``draws`` lists realizations, each what :func:`draw_run` returns for one
@@ -373,14 +373,14 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     ``rng.normal(0.0, std, nr)`` gives; ``draws`` empty or not of the config's
     shapes raises ``ValueError``. A cell's rule takes the config's knobs, its step
     size, and for an unset regularizer weight ``LAMBDA_*_NOISE_RATIO``
-    times its noise variance. Returns ``(squared, finite)``: the
-    ``(realizations, cells, iterations)`` squared errors, entry 0 the
-    cold-start error of the all-zero estimates and each later entry
-    recorded after that iteration's update of every receive antenna's
-    estimate, and the ``(realizations, cells)`` mask of the pairs whose
-    squared error stayed finite. A dead pair's rows are unspecified, and
-    once no pair is left the call stops. Every live pair comes out bit for
-    bit as it does alone. A subset of cells is
+    times its noise variance. Returns the ``(realizations, cells,
+    iterations)`` squared errors, entry 0 the cold-start error of the
+    all-zero estimates and each later entry recorded after that iteration's
+    update of every receive antenna's estimate. A pair survived exactly
+    when every entry of its curve is finite; the call stops after a block
+    in which no pair's error stayed finite, and every entry past that block
+    is NaN, so the same draws give the same bytes. Every surviving pair
+    comes out bit for bit as it does alone. A subset of cells is
     ``dataclasses.replace(config, snr_db=..., mu=...)``.
 
     Every estimate is one row of a C-contiguous ``(rows, nt * L)`` array,
@@ -427,9 +427,8 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
     estimates = np.zeros((min(BLOCK, iterations) + 1, rows, taps))
     regressors = np.empty((min(BLOCK, iterations), rows, taps))
     grid = (count, nr, cells, taps)
-    squared = np.empty((count, cells, iterations))
+    squared = np.full((count, cells, iterations), np.nan)
     squared[:, :, 0] = [[float(np.sum(h * h))] for h in channels[0]]
-    finite = np.ones((count, cells), dtype=bool)
     # one iteration's a-priori errors, one per row, and the rule's column
     # view of them, written in place every iteration
     e = np.empty(rows)
@@ -476,14 +475,13 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
             for i in range(1, nr):
                 total = total + per_row[:, :, i]
             squared[:, :, start:start + size] = total.transpose(1, 2, 0)
-            # a non-finite estimate makes its squared error non-finite too,
-            # and a finite one can still overflow it; either way the pair's
-            # run is useless for averaging
-            finite &= np.isfinite(total).all(axis=0)
-            if not finite.any():
+            # a non-finite estimate makes its squared error non-finite, and a
+            # finite one can still overflow it: either way the pair is dropped,
+            # and a block in which no pair stayed finite ends the call
+            if not np.isfinite(total).all(axis=0).any():
                 break
             estimates[0] = estimates[size]
-    return squared, finite
+    return squared
 
 
 def steady_state_mse(trace: np.ndarray) -> float:
@@ -515,20 +513,19 @@ def _grid_task(args):
     config, run = args
     # a cell's K enters only through its draws, so one call serves every K
     draws = [draw_run(config, k, run) for k in config.sparsity]
-    squared, finite = zip(*(run_single(draws, config, algorithm) for algorithm in config.algorithms))
-    return np.stack(squared).reshape(-1, config.iterations), np.stack(finite).reshape(-1)
+    return np.stack([run_single(draws, config, algorithm) for algorithm in config.algorithms]).reshape(-1, config.iterations)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
-    """Run the whole grid; diverged runs are dropped per cell, not fatal.
+    """Run the whole grid; a run is dropped from each cell where its curve is not all finite, not fatal.
 
     A task is one run index: every cell of that run shares its channel and
     draws at each K, so the task draws every K once with :func:`draw_run`
     and one :func:`run_single` call per algorithm advances all of them,
-    each K a realization, and returns the run's squared errors and survival
-    mask in ``cell_keys()`` order. Results are bit-identical for a fixed
-    master seed regardless of ``workers``: every task is a pure function of
-    the config, and each cell's surviving runs are summed in run order.
+    each K a realization, and returns the run's squared errors in
+    ``cell_keys()`` order. Results are bit-identical for a fixed master
+    seed regardless of ``workers``: every task is a pure function of the
+    config, and each cell's surviving runs are summed in run order.
     """
     workers = _count("workers", workers)
     keys = config.cell_keys()
@@ -540,9 +537,9 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
 
     def collect(outcomes):
         # map and pool.map both yield the tasks' results in run order
-        for squared, alive in outcomes:
+        for squared in outcomes:
+            masks.append(alive := np.isfinite(squared).all(axis=1))
             np.add(sums, squared, out=sums, where=alive[:, None])
-            masks.append(alive)
 
     # a pool may start every worker up front, so it gets no more than tasks
     workers = min(workers, len(tasks))

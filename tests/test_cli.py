@@ -386,6 +386,21 @@ class TestMainAndManifest:
             replay_manifest(manifest, tmp_path / "replay.csv")
         assert not (tmp_path / "replay.csv").exists()
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda data: data[:data.index(b"{", 1)], "Expecting value: line 2 column 13"),
+        (lambda data: data.replace(b"{", b"{\xff", 1), "'utf-8' codec can't decode byte 0xff in position 1"),
+    ], ids=["truncated", "not-utf-8"])
+    def test_replay_of_a_manifest_that_is_not_json_names_its_path(self, tmp_path, monkeypatch, edit, cause):
+        # a cut or mangled manifest is refused by its path, not by a bare
+        # decoder message, before the grid runs or any output is written
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 0
+        manifest = manifest_path_for(tmp_path / "res.csv")
+        manifest.write_bytes(edit(manifest.read_bytes()))
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        with pytest.raises(ValueError, match=f"^manifest: cannot read {re.escape(str(manifest))}: {re.escape(cause)}"):
+            replay_manifest(manifest, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
     def test_failed_manifest_dump_leaves_the_previous_file(self, tmp_path, monkeypatch):
         def manifest(seed):
             return RunManifest(config=ExperimentConfig(seed=seed), version="0", started="start",

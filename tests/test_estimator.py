@@ -320,20 +320,20 @@ class TestCommonUpdateContract:
             assert np.allclose(out_perm, out[perm], atol=1e-12)
 
     def test_diverging_run_is_masked(self):
-        # the rules return whatever they compute; the run's once-per-iteration
-        # squared-error guard marks the pair dead
+        # the rules return whatever they compute; a non-finite entry in the
+        # pair's squared-error curve marks it dead
         config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), snr_db=(10.0,), mu=(1.0,),
                                   iterations=400)
-        _, finite = run_single([draw_run(config, 1, 0)], config, "lms")
-        assert finite.tolist() == [[False]]
+        squared = run_single([draw_run(config, 1, 0)], config, "lms")
+        assert np.isfinite(squared).all(axis=-1).tolist() == [[False]]
 
     def test_dead_pair_leaves_its_neighbour_alone(self):
         # seed-pinned: lms survives mu=0.005 and diverges at mu=1
         config = ExperimentConfig(nt=4, nr=1, length=32, sparsity=(1,), snr_db=(10.0,), mu=(0.005, 1.0),
                                   iterations=400)
         draws = [draw_run(config, 1, 0)]
-        squared, finite = run_single(draws, config, "lms")
-        assert finite.tolist() == [[True, False]]
-        alone, alone_finite = run_single(draws, replace(config, mu=(0.005,)), "lms")
-        assert alone_finite.tolist() == [[True]]
+        squared = run_single(draws, config, "lms")
+        assert np.isfinite(squared).all(axis=-1).tolist() == [[True, False]]
+        alone = run_single(draws, replace(config, mu=(0.005,)), "lms")
+        assert np.isfinite(alone).all(axis=-1).tolist() == [[True]]
         assert squared[0, 0].tobytes() == alone[0, 0].tobytes()
