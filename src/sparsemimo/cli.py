@@ -287,18 +287,20 @@ def _temporary_for(path) -> Path:
     return Path(f"{path}.tmp")
 
 
-def _refuse_unwritable(*paths) -> None:
-    """Raise ``OSError`` if a path is a directory or its parent is none: found before the grid runs, not after."""
-    for path in map(Path, filter(None, paths)):
+def _refuse_paths(reads, writes) -> None:
+    """Refuse ``(name, path)`` files, ``None`` unset: one under two names (``ValueError``), then an unwritable output."""
+    files = {}  # each file -> the first name naming it
+    for name, path in [*reads, *writes]:
+        if path is not None and files.setdefault(Path(path).resolve(), name) != name:
+            raise ValueError(f"{name}: {path} is also the {files[Path(path).resolve()]} file")
+    for path in (Path(path) for _, path in writes if path is not None):
         if path.is_dir() or not path.parent.is_dir():
             raise OSError(f"{path} is a directory" if path.is_dir() else f"{path.parent} is not a directory")
 
 
 def replay_manifest(manifest_path, out_path, workers: int = 1) -> GridResult:
     """Re-run the experiment recorded in a manifest and rewrite its CSV."""
-    if Path(out_path).resolve() == Path(manifest_path).resolve():
-        raise ValueError(f"out_path: {out_path} is the manifest itself")
-    _refuse_unwritable(out_path)
+    _refuse_paths([("manifest", manifest_path)], [("out_path", out_path)])
     manifest = RunManifest.load(manifest_path)
     result = run_grid(manifest.config, workers=workers)
     emit_csv(result, out_path)
@@ -344,19 +346,13 @@ def main(argv=None) -> int:
         config = _build_config(args)
         _count("workers", args.workers)
         manifest = manifest_path_for(args.out)
-        # each file the run writes, the manifest's temporary too, by the flag naming it
-        outputs = [("out", args.out), ("out", manifest), ("out", _temporary_for(manifest)),
-                   ("plot-script", args.plot_script)]
-        files = {}  # each file the run reads or writes -> the flag naming it
-        for flag, path in [("config", args.config), *outputs]:
-            if path is not None and files.setdefault(path.resolve(), flag) != flag:
-                raise ValueError(f"{flag}: {path} is also the {files[path.resolve()]} file")
+        # the file the run reads, then each it writes, the manifest's temporary too, by the flag naming it
+        _refuse_paths([("config", args.config)], [("out", args.out), ("out", manifest),
+                                                  ("out", _temporary_for(manifest)), ("plot-script", args.plot_script)])
     except ValueError as exc:  # a bad flag, file line, config rule, worker count or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _refuse_unwritable(*(path for _, path in outputs))
-    except OSError as exc:
+    except OSError as exc:  # an output path that cannot be written
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -541,8 +542,9 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
             masks.append(alive := np.isfinite(squared).all(axis=1))
             np.add(sums, squared, out=sums, where=alive[:, None])
 
-    # a pool may start every worker up front, so it gets no more than tasks
-    workers = min(workers, len(tasks))
+    # a pool may start every worker up front, so it gets no more than tasks or the CPUs it may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(tasks), cpus)
     if workers == 1:
         collect(map(_grid_task, tasks))
     else:

@@ -349,19 +349,23 @@ class TestMainAndManifest:
         monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
         # another spelling of the same file
         out = tmp_path / ".." / tmp_path.name / manifest.name
-        with pytest.raises(ValueError, match=f"^out_path: {re.escape(str(out))} is the manifest itself$"):
+        with pytest.raises(ValueError, match=f"^out_path: {re.escape(str(out))} is also the manifest file$"):
             replay_manifest(manifest, out)
         assert manifest.read_bytes() == before
 
-    @pytest.mark.parametrize("name, where", [(".", "{out} is a directory"),
-                                             ("missing-dir/replay.csv", "{out.parent} is not a directory")],
-                             ids=["directory", "missing-parent"])
-    def test_unwritable_replay_target_refused_before_the_grid_runs(self, tmp_path, monkeypatch, name, where):
+    @pytest.mark.parametrize("name, where, cut", [(".", "{out} is a directory", None),
+                                                  ("missing-dir/replay.csv", "{out.parent} is not a directory", None),
+                                                  # the path's OSError, not the cut manifest's ValueError
+                                                  (".", "{out} is a directory", 11)],
+                             ids=["directory", "missing-parent", "directory-truncated-manifest"])
+    def test_unwritable_replay_target_refused_before_the_grid_runs(self, tmp_path, monkeypatch, name, where, cut):
         assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 0
+        manifest = manifest_path_for(tmp_path / "res.csv")
+        manifest.write_bytes(manifest.read_bytes()[:cut])
         monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
         out = tmp_path / name
         with pytest.raises(OSError, match=f"^{re.escape(where.format(out=out))}$"):
-            replay_manifest(manifest_path_for(tmp_path / "res.csv"), out)
+            replay_manifest(manifest, out)
         assert not (tmp_path / "missing-dir").exists()
 
     @pytest.mark.parametrize("edit, named", [

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import math
+import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -633,10 +634,15 @@ class TestRunGrid:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         config = _tiny_config(runs=3)
-        serial, pooled = run_grid(config), run_grid(config, workers=500)
-        assert sizes == [3]
-        assert [a.tobytes() for a in serial.values()] == [a.tobytes() for a in pooled.values()]
-        run_grid(_tiny_config(runs=1), workers=500)  # one task runs without a pool
+        serial = run_grid(config)
+        # the pool gets no more workers than tasks or CPUs; one of either runs without a pool
+        for cpus, expected in ((1, []), (2, [2]), (64, [3])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            sizes.clear()
+            pooled = run_grid(config, workers=500)
+            assert sizes == expected, cpus
+            assert [a.tobytes() for a in serial.values()] == [a.tobytes() for a in pooled.values()]
+        run_grid(_tiny_config(runs=1), workers=500)  # one task runs without a pool, at 64 CPUs too
         assert sizes == [3]
 
     def test_bad_worker_count_rejected(self):

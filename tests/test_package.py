@@ -3,6 +3,7 @@
 import pkgutil
 
 import sparsemimo
+import sparsemimo.cli
 
 PUBLIC = {
     "__version__",
@@ -21,12 +22,28 @@ PUBLIC = {
     "steady_state_mse",
 }
 
+CLI_PUBLIC = {
+    "CSV_HEADER",
+    "RunManifest",
+    "emit_csv",
+    "emit_summary",
+    "main",
+    "parse_config",
+    "replay_manifest",
+}
+
 
 def test_public_names_are_pinned():
     # a name added to or dropped from the API must be added or dropped here
     assert len(sparsemimo.__all__) == len(set(sparsemimo.__all__))
     assert set(sparsemimo.__all__) == PUBLIC
     assert len(PUBLIC) == 14
+
+
+def test_cli_public_names_are_pinned():
+    assert len(sparsemimo.cli.__all__) == len(set(sparsemimo.cli.__all__))
+    assert set(sparsemimo.cli.__all__) == CLI_PUBLIC
+    assert len(CLI_PUBLIC) == 7
 
 
 def test_every_public_name_resolves():
