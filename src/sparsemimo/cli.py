@@ -226,20 +226,10 @@ class RunManifest:
     """Everything needed to reproduce one results file byte-for-byte."""
 
     config: ExperimentConfig
-    version: str
     started: str
     finished: str
-    divergence_counts: dict
-
-    @classmethod
-    def collect(cls, config: ExperimentConfig, result: GridResult, started: str, finished: str) -> "RunManifest":
-        return cls(
-            config=config,
-            version=__version__,
-            started=started,
-            finished=finished,
-            divergence_counts={_key_string(key): len(runs) for key, runs in result.diverged.items()},
-        )
+    divergence_counts: dict  # each cell's key string -> its dropped runs
+    version: str = __version__
 
     def write(self, path) -> None:
         """Dump to a sibling temporary file, then move it over ``path``: a failed dump leaves no partial manifest."""
@@ -358,18 +348,18 @@ def main(argv=None) -> int:
 
     started = _utc_now()
     result = run_grid(config, workers=args.workers)
-    finished = _utc_now()
+    record = RunManifest(config, started, _utc_now(), {_key_string(key): len(runs) for key, runs in result.diverged.items()})
 
-    for key, runs in result.diverged.items():
-        if key not in result:
-            print(f"warning: {_key_string(key)}: all {len(runs)} runs diverged", file=sys.stderr)
+    for key, count in record.divergence_counts.items():
+        if count == config.runs:  # a cell that dropped all of its runs is missing from the result
+            print(f"warning: {key}: all {count} runs diverged", file=sys.stderr)
     if not result:
         print("error: every run of every cell diverged; no results to write", file=sys.stderr)
         return EXIT_ALL_DIVERGED
 
     try:
         emit_csv(result, args.out)
-        RunManifest.collect(config, result, started, finished).write(manifest)
+        record.write(manifest)
         if args.plot_script:
             # the script names the CSV only through repr, which escapes a line break or a lone surrogate
             args.plot_script.write_text(PLOT_TEMPLATE.format(csv=str(args.out), header=CSV_HEADER), "utf-8", newline="\n")

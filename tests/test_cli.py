@@ -324,7 +324,7 @@ class TestMainAndManifest:
         out, manifest = tmp_path / "res.csv", tmp_path / "res.manifest.json"
         result = run_grid(config)
         emit_csv(result, out)
-        RunManifest.collect(config, result, "start", "end").write(manifest)
+        RunManifest(config, "start", "end", {}).write(manifest)
         replay_manifest(manifest, tmp_path / "replay.csv")
         assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
 
@@ -337,7 +337,7 @@ class TestMainAndManifest:
         out, manifest = tmp_path / "res.csv", tmp_path / "res.manifest.json"
         result = run_grid(config)
         emit_csv(result, out)
-        RunManifest.collect(config, result, "start", "end").write(manifest)
+        RunManifest(config, "start", "end", {}).write(manifest)
         assert RunManifest.load(manifest).config == config
         replay_manifest(manifest, tmp_path / "replay.csv")
         assert (tmp_path / "replay.csv").read_bytes() == out.read_bytes()
@@ -377,8 +377,10 @@ class TestMainAndManifest:
         (lambda data: list(data), "the file must be a JSON object, got list"),
         (lambda data: {**data, "config": list(data["config"])}, "config must be a JSON object, got list"),
         (lambda data: {**data, "seed": 11}, "unknown key seed"),
+        # the field has a default, but a file must still name it
+        (lambda data: _without(data, "version"), "missing key version"),
     ], ids=["extra", "missing", "config-extra", "extra-and-missing", "config-missing", "list", "config-list",
-            "old-seed"])
+            "old-seed", "missing-version"])
     def test_replay_of_a_manifest_with_other_keys_names_them(self, tmp_path, monkeypatch, edit, named):
         # a manifest written by another version of the program is refused
         # by its keys, before the grid runs or any output is written

@@ -644,6 +644,14 @@ class TestRunGrid:
             assert [a.tobytes() for a in serial.values()] == [a.tobytes() for a in pooled.values()]
         run_grid(_tiny_config(runs=1), workers=500)  # one task runs without a pool, at 64 CPUs too
         assert sizes == [3]
+        # without sched_getaffinity (macOS, Windows) the CPUs are os.cpu_count(), 1 when it is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, expected in ((None, []), (2, [2])):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            sizes.clear()
+            pooled = run_grid(config, workers=500)
+            assert sizes == expected, cpus
+            assert [a.tobytes() for a in serial.values()] == [a.tobytes() for a in pooled.values()]
 
     def test_bad_worker_count_rejected(self):
         # True is an int to Python, but no worker count
