@@ -347,7 +347,11 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     started = _utc_now()
-    result = run_grid(config, workers=args.workers)
+    try:
+        result = run_grid(config, workers=args.workers)
+    except ValueError as exc:  # surviving runs whose sum overflows
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     record = RunManifest(config, started, _utc_now(), {_key_string(key): len(runs) for key, runs in result.diverged.items()})
 
     for key, count in record.divergence_counts.items():

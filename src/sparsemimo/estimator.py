@@ -117,8 +117,8 @@ def update(hyper: HyperParams, h: np.ndarray, x: np.ndarray, e: float | np.ndarr
         # the grouping is part of the pinned output: regrouping moves CSV bits
         c = hyper.mu * e / (NLMS_DELTA + energy)
     # h + c * x, with c * x written into out first; + and * commute bit for bit
-    step = np.multiply(c, x, out=out)
-    out = np.add(h, step, out=out)
+    step = np.multiply(c, x, out)
+    out = np.add(h, step, out)
     if algorithm == "lp_nlms":
         attractor = lp_attractor(h, hyper.p, hyper.epsilon)
         attractor *= hyper.mu * hyper.lambda_lp

@@ -237,25 +237,27 @@ class _Links:
     def draw(self, rng: np.random.Generator, links: int) -> None:
         """The next ``links`` links from ``rng``: each one's support, by ``rng.choice`` if exact, else
         its words in one call as if none is rejected, for :meth:`place` to judge; then its values."""
-        bits, count = rng.bit_generator, len(self.spans)
+        bits, count, first, raws = rng.bit_generator, len(self.spans), len(self.supports), self.raws
         if not self.exact:
             spare, has_spare = (state := bits.state)["uinteger"], state["has_uint32"]
-            self.raws.append(np.array([spare << 32] * has_spare, dtype=np.uint64))  # a spare, as an output's high half
-            self.outputs += has_spare
-        for link in self.values[len(self.supports):len(self.supports) + links]:
+            mark, outputs = len(raws), self.outputs + has_spare
+            raws.append(np.array([spare << 32] * has_spare, dtype=np.uint64))  # a spare, as an output's high half
+        for link in self.values[first:first + links]:
             if self.exact:
                 self.supports.append(rng.choice(self.taps.shape[1], self.k, replace=False))
             else:
-                self.supports.append(2 * self.outputs - has_spare)
-                self.raws.append(raws := bits.random_raw((count - has_spare + 1) // 2))
-                self.outputs, has_spare = self.outputs + raws.size, has_spare + 2 * raws.size - count
-                spare = int(raws[-1] >> 32) if raws.size else spare
+                self.supports.append(2 * outputs - has_spare)
+                raws.append(bits.random_raw(size := (count - has_spare + 1) // 2))
+                outputs, has_spare = outputs + size, has_spare + 2 * size - count
             rng.standard_normal(out=link)
             # an exact zero would shrink the support; redraw it (a list's all() is link.all(), for less)
             while not all(link.tolist()):
                 zero = link == 0.0
                 link[zero] = rng.standard_normal(int(zero.sum()))
         if not self.exact:
+            self.outputs = outputs
+            # the spare is the high half of the last output drawn, the spare read above if none was
+            spare = next((int(drawn[-1] >> 32) for drawn in reversed(raws[mark:]) if drawn.size), spare)
             bits.state = {**bits.state, "uinteger": spare, "has_uint32": has_spare}  # the normal draws moved it
 
     def place(self) -> bool:
@@ -457,8 +459,8 @@ def run_single(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]], config: E
             for j in range(size):
                 before, x = estimate_rows[j], regressor_rows[j]
                 # np.vecdot, not @: it gives the bits of the one-row h @ x
-                np.vecdot(before, x, out=e)
-                np.subtract(ys[j], e, out=e)
+                np.vecdot(before, x, e)
+                np.subtract(ys[j], e, e)
                 if lone:
                     # a lone pair: float knobs, error and energy, one call per antenna;
                     # the stacked call below gives the same bits for less, but
@@ -540,7 +542,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
         # map and pool.map both yield the tasks' results in run order
         for squared in outcomes:
             masks.append(alive := np.isfinite(squared).all(axis=1))
-            np.add(sums, squared, out=sums, where=alive[:, None])
+            with np.errstate(over="ignore"):  # a sum that overflows is refused below, not warned of
+                np.add(sums, squared, out=sums, where=alive[:, None])
 
     # a pool may start every worker up front, so it gets no more than tasks or the CPUs it may use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsemimo import cli
+from sparsemimo import cli, experiment
 from sparsemimo.cli import (
     CSV_HEADER,
     RunManifest,
@@ -517,6 +517,17 @@ class TestMainAndManifest:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert "diverged" in err
+
+    def test_overflowing_mean_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # each run's curve is finite, but two of them sum past the largest float
+        monkeypatch.setattr(experiment, "run_single", lambda draws, config, algorithm:
+                            np.full((len(draws), len(config.snr_db) * len(config.mu), config.iterations), 1.5e308))
+        out = tmp_path / "res.csv"
+        args = ["--runs", "2", "--iterations", "5", "--snr-db", "10", "--mu", "0.5", "--k", "1",
+                "--algorithms", "nlms", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: mean squared error must be finite and nonnegative\n"
+        assert not out.exists() and not manifest_path_for(out).exists()
 
     def test_plot_script_written(self, tmp_path):
         out = tmp_path / "res.csv"

@@ -300,7 +300,10 @@ class TestTrainingStream:
         "kind,fading_period,nt",
         [pytest.param(kind, period, 2, id=f"{kind}-{period}") for kind in GENERATOR_KINDS for period in (None, 43)]
         # 3 bpsk words an iteration: every loop-stream epoch starts on a spare word
-        + [pytest.param("bpsk", 20, 3, id="bpsk-20-nt3")],
+        + [pytest.param("bpsk", 20, 3, id="bpsk-20-nt3")]
+        # 4 an iteration, the benchmark's fading shape: no training word is left
+        # over at an epoch start, so each spare comes from the link words
+        + [pytest.param("bpsk", 20, 4, id="bpsk-20-nt4")],
     )
     def test_stream_layout_is_the_per_iteration_order(self, kind, fading_period, nt):
         # 200 iterations span four ofdm blocks; with a period of 43 the

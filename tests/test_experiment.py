@@ -339,13 +339,12 @@ class TestTraceSummaries:
         assert first_iteration_below(trace, 2.0) == 1
         assert first_iteration_below(trace, 0.1) == 4
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("runs, mean", [([[1.0, -0.5]], None), ([[1.0, math.nan], [1.0, 0.5]], [1.0, 0.5]),
                                             ([np.full(3, 1e308), np.full(3, 1e308)], None)],
                              ids=["negative", "nan", "overflowing-sum"])
     def test_trace_rejects_bad_values(self, monkeypatch, runs, mean):
         # run_grid refuses impossible means; two finite runs can still overflow
-        # their sum. A run with a NaN entry is dropped, as its curve is its whole outcome
+        # their sum, which it refuses without a warning. A run with a NaN entry is dropped, as its curve is its whole outcome
         if mean is None:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 _mean_of(monkeypatch, *runs)
