@@ -22,7 +22,6 @@ from .experiment import (
     CellKey,
     ExperimentConfig,
     GridResult,
-    _count,
     first_iteration_below,
     run_grid,
     steady_state_mse,
@@ -81,10 +80,6 @@ _FIELDS = {
 }
 
 
-def _config_field(key: str) -> str:
-    return "sparsity" if key == "k" else key
-
-
 def _parse_value(key: str, text: str):
     try:
         return _FIELDS[key][0](text)
@@ -128,17 +123,16 @@ def _load_config_file(path: Path) -> dict:
         if key in lines:
             raise ValueError(f"config: key {key!r} repeated at {path}:{lines[key]} and {path}:{lineno}")
         lines[key] = lineno
-        values[_config_field(key)] = _parse_value(key, value.strip())
+        values[key] = _parse_value(key, value.strip())
     return values
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = _load_config_file(args.config) if args.config else {}
     for key in _FIELDS:
-        text = getattr(args, key)
-        if text is not None:
-            values[_config_field(key)] = _parse_value(key, text)
-    return ExperimentConfig(**values)
+        if getattr(args, key) is not None:
+            values[key] = _parse_value(key, getattr(args, key))
+    return ExperimentConfig(**{"sparsity" if key == "k" else key: value for key, value in values.items()})
 
 
 def parse_config(argv) -> ExperimentConfig:
@@ -334,12 +328,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
-        _count("workers", args.workers)
         manifest = manifest_path_for(args.out)
         # the file the run reads, then each it writes, the manifest's temporary too, by the flag naming it
         _refuse_paths([("config", args.config)], [("out", args.out), ("out", manifest),
                                                   ("out", _temporary_for(manifest)), ("plot-script", args.plot_script)])
-    except ValueError as exc:  # a bad flag, file line, config rule, worker count or path
+    except ValueError as exc:  # a bad flag, file line, config rule or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # an output path that cannot be written
@@ -349,7 +342,7 @@ def main(argv=None) -> int:
     started = _utc_now()
     try:
         result = run_grid(config, workers=args.workers)
-    except ValueError as exc:  # surviving runs whose sum overflows
+    except ValueError as exc:  # a bad worker count, or surviving runs whose sum overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     record = RunManifest(config, started, _utc_now(), {_key_string(key): len(runs) for key, runs in result.diverged.items()})

@@ -144,9 +144,6 @@ class ExperimentConfig:
             if name in ("snr_db", "mu"):
                 value = tuple(_real(name, v) for v in value)
             object.__setattr__(self, name, value)
-            if len(set(value)) != len(value):
-                # a repeated value would add the same cell's runs twice
-                raise ValueError(f"{key}: duplicate values in {value}")
         # one rule for every real knob: a float, so the manifest's JSON holds
         # numpy's floats too; only a regularizer weight may be None
         for name in ("p", "epsilon", "beta", "lambda_lp", "lambda_l0"):
@@ -178,6 +175,10 @@ class ExperimentConfig:
             raise ValueError(f"epsilon: must be finite and positive, got {self.epsilon}")
         if not (0 < self.beta and 2.0 * self.beta * self.beta < math.inf):  # beta * beta: inf, where ** raises
             raise ValueError(f"beta: must be positive with 2 * beta**2 finite (up to about 9.48e153), got {self.beta}")
+        # a repeated value would add the same cell's runs twice; checked last, as only a valid value is sure to hash
+        for name, value in (("k", self.sparsity), ("snr_db", self.snr_db), ("mu", self.mu), ("algorithms", self.algorithms)):
+            if len(set(value)) != len(value):
+                raise ValueError(f"{name}: duplicate values in {value}")
 
     def cell_keys(self) -> list[CellKey]:
         """Every cell, algorithm outer, then K, SNR and step size: the order :func:`run_grid` makes them in."""

@@ -133,9 +133,10 @@ class TestParseConfig:
         assert config.sparsity == (4,)
         assert config.generator == "bpsk"
         # flags beat the file
-        config = parse_config(["--config", str(path), "--runs", "3"])
+        config = parse_config(["--config", str(path), "--runs", "3", "--k", "1"])
         assert config.runs == 3
         assert config.snr_db == (5.0, 15.0)
+        assert config.sparsity == (1,)
 
     def test_config_file_may_start_with_a_bom(self, tmp_path):
         # Windows Notepad saves UTF-8 with a byte order mark
@@ -392,6 +393,17 @@ class TestMainAndManifest:
             replay_manifest(manifest, tmp_path / "replay.csv")
         assert not (tmp_path / "replay.csv").exists()
 
+    def test_replay_of_a_manifest_with_an_unhashable_value_names_its_key(self, tmp_path, monkeypatch):
+        # the value's own rule refuses it, not a TypeError from the repeat check
+        assert main(TINY_ARGS + ["--out", str(tmp_path / "res.csv")]) == 0
+        manifest = manifest_path_for(tmp_path / "res.csv")
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps({**data, "config": {**data["config"], "sparsity": [[1]]}}), encoding="utf-8")
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        with pytest.raises(ValueError, match="^k: "):
+            replay_manifest(manifest, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
     @pytest.mark.parametrize("edit, cause", [
         (lambda data: data[:data.index(b"{", 1)], "Expecting value: line 2 column 13"),
         (lambda data: data.replace(b"{", b"{\xff", 1), "'utf-8' codec can't decode byte 0xff in position 1"),
@@ -448,7 +460,8 @@ class TestMainAndManifest:
 
     @pytest.mark.parametrize("argv, prefix", _REFUSED, ids=[argv for argv, _ in _REFUSED])
     def test_bad_input_exits_1_before_the_grid_runs(self, tmp_path, capsys, monkeypatch, argv, prefix):
-        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+        # run_grid itself refuses a bad worker count, so the stub is a run's draw
+        monkeypatch.setattr(experiment, "draw_run", lambda *args, **kwargs: pytest.fail("a run was drawn"))
         assert main(TINY_ARGS + argv.split() + ["--out", str(tmp_path / "res.csv")]) == 1
         assert capsys.readouterr().err.startswith(prefix)
         assert list(tmp_path.iterdir()) == []

@@ -385,6 +385,9 @@ class TestConfigValidation:
             ({"sparsity": (1, 1)}, "k"),
             ({"mu": (0.5, 1.0, 0.5)}, "mu"),
             ({"mu": (m for m in (0.5, 1.0, 0.5))}, "mu"),
+            # an unhashable value fails its key's rule, not the repeat check
+            ({"sparsity": ([1],)}, "k"),
+            ({"algorithms": (["nlms"],)}, "algorithms"),
             ({"sparsity": ()}, "k"),
             ({"snr_db": ()}, "snr_db"),
             ({"mu": ()}, "mu"),
