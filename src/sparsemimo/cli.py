@@ -332,35 +332,25 @@ def main(argv=None) -> int:
         # the file the run reads, then each it writes, the manifest's temporary too, by the flag naming it
         _refuse_paths([("config", args.config)], [("out", args.out), ("out", manifest),
                                                   ("out", _temporary_for(manifest)), ("plot-script", args.plot_script)])
-    except ValueError as exc:  # a bad flag, file line, config rule or path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    started = _utc_now()
-    try:
+        started = _utc_now()
         result = run_grid(config, workers=args.workers)
-    except ValueError as exc:  # a bad worker count, or surviving runs whose sum overflows
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    record = RunManifest(config, started, _utc_now(), {_key_string(key): len(runs) for key, runs in result.diverged.items()})
-
-    for key, count in record.divergence_counts.items():
-        if count == config.runs:  # a cell that dropped all of its runs is missing from the result
-            print(f"warning: {key}: all {count} runs diverged", file=sys.stderr)
-    if not result:
-        print("error: every run of every cell diverged; no results to write", file=sys.stderr)
-        return EXIT_ALL_DIVERGED
-
-    try:
+        record = RunManifest(config, started, _utc_now(), {_key_string(key): len(runs) for key, runs in result.diverged.items()})
+        for key, count in record.divergence_counts.items():
+            if count == config.runs:  # a cell that dropped all of its runs is missing from the result
+                print(f"warning: {key}: all {count} runs diverged", file=sys.stderr)
+        if not result:
+            print("error: every run of every cell diverged; no results to write", file=sys.stderr)
+            return EXIT_ALL_DIVERGED
+        manifest.unlink(missing_ok=True)  # so a manifest beside the CSV always describes it
         emit_csv(result, args.out)
         record.write(manifest)
         if args.plot_script:
             # the script names the CSV only through repr, which escapes a line break or a lone surrogate
             args.plot_script.write_text(PLOT_TEMPLATE.format(csv=str(args.out), header=CSV_HEADER), "utf-8", newline="\n")
-    except OSError as exc:
+    except ValueError as exc:  # a bad flag, file line, config rule, path, worker count or pool, or runs whose sum overflows
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an output path that cannot be written; the grid raises none
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_IO
 

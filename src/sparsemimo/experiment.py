@@ -21,6 +21,7 @@ surviving runs into a :class:`GridResult` of learning curves.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -529,7 +530,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     each K a realization, and returns the run's squared errors in
     ``cell_keys()`` order. Results are bit-identical for a fixed master
     seed regardless of ``workers``: every task is a pure function of the
-    config, and each cell's surviving runs are summed in run order.
+    config, and each cell's surviving runs are summed in run order. A pool
+    that cannot start raises a ``ValueError`` naming ``workers``, from its ``OSError``.
     """
     workers = _count("workers", workers)
     keys = config.cell_keys()
@@ -537,28 +539,25 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
 
     # 0.0 + x is x, so each sum holds exactly its runs added in run order
     sums = np.zeros((len(keys), config.iterations))
-    masks = []
-
-    def collect(outcomes):
-        # map and pool.map both yield the tasks' results in run order
-        for squared in outcomes:
-            masks.append(alive := np.isfinite(squared).all(axis=1))
-            with np.errstate(over="ignore"):  # a sum that overflows is refused below, not warned of
-                np.add(sums, squared, out=sums, where=alive[:, None])
-
+    finite = np.zeros((config.runs, len(keys)), dtype=bool)
     # a pool may start every worker up front, so it gets no more than tasks or the CPUs it may use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(tasks), cpus)
-    if workers == 1:
-        collect(map(_grid_task, tasks))
-    else:
-        # imported here, so serial runs and the command line skip its cost
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            collect(pool.map(_grid_task, tasks, chunksize=chunk))
-
-    finite = np.array(masks)  # (runs, cells)
+    with contextlib.ExitStack() as stack:
+        outcomes = map(_grid_task, tasks)
+        if workers > 1:
+            # imported here, so serial runs and the command line skip its cost
+            from concurrent.futures import ProcessPoolExecutor
+            try:  # under fork, map starts every worker: a fork's EAGAIN or a pipe's EMFILE surfaces from either call
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                outcomes = pool.map(_grid_task, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+            except OSError as exc:
+                raise ValueError(f"workers: cannot start {workers} worker processes: {exc}") from exc
+        # map and pool.map both yield the tasks' results in run order
+        for run, squared in enumerate(outcomes):
+            finite[run] = alive = np.isfinite(squared).all(axis=1)
+            with np.errstate(over="ignore"):  # a sum that overflows is refused below, not warned of
+                np.add(sums, squared, out=sums, where=alive[:, None])
     survivors = finite.sum(axis=0)
     live = survivors > 0
     means = sums[live] / survivors[live, None]

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, CSV/manifest emission, and exit codes."""
 
 import ast
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -77,7 +78,25 @@ _REFUSED = [
     ("--algorithms l0_nlms --beta 1e200", "error: beta: "),
     # 1 / 10 ** (snr / 10) overflows, divides by zero or comes out inf
     *[(f"--snr-db {snr}", "error: snr_db: ") for snr in ("3083", "4000", "-4000", "-3100")],
+    # a pool whose map cannot fork its workers (the test's stub) is refused by the worker count
+    ("--workers 2", "error: workers: cannot start 2 worker processes: "),
 ]
+
+
+class _RefusingPool:
+    """A process pool whose ``map`` fails as a fork that hits the process limit does."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
 class TestParseConfig:
@@ -442,6 +461,19 @@ class TestMainAndManifest:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == previous
 
+    def test_failed_manifest_write_leaves_no_earlier_manifest_beside_the_csv(self, tmp_path, monkeypatch, capsys):
+        # the earlier run's manifest would replay to other bytes than the new CSV's
+        out = tmp_path / "res.csv"
+        assert main(TINY_ARGS + ["--out", str(out)]) == 0
+
+        def refuse(self, path):
+            raise PermissionError(f"cannot open {path}")
+
+        monkeypatch.setattr(RunManifest, "write", refuse)
+        assert main(TINY_ARGS + ["--seed", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write results: cannot open ")
+        assert out.exists() and not manifest_path_for(out).exists()
+
     def test_summary_flag_prints_table(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         code = main(TINY_ARGS + ["--out", str(out), "--summary"])
@@ -460,8 +492,11 @@ class TestMainAndManifest:
 
     @pytest.mark.parametrize("argv, prefix", _REFUSED, ids=[argv for argv, _ in _REFUSED])
     def test_bad_input_exits_1_before_the_grid_runs(self, tmp_path, capsys, monkeypatch, argv, prefix):
-        # run_grid itself refuses a bad worker count, so the stub is a run's draw
+        # run_grid itself refuses a bad worker count, so the stub is a run's draw; at 4 CPUs
+        # --workers 2 gets a pool, which refuses to start
         monkeypatch.setattr(experiment, "draw_run", lambda *args, **kwargs: pytest.fail("a run was drawn"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RefusingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         assert main(TINY_ARGS + argv.split() + ["--out", str(tmp_path / "res.csv")]) == 1
         assert capsys.readouterr().err.startswith(prefix)
         assert list(tmp_path.iterdir()) == []

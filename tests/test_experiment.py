@@ -618,8 +618,8 @@ class TestRunGrid:
                                       for m in mus]
 
     def test_pool_gets_no_more_workers_than_tasks(self, monkeypatch):
-        # a stub pool records its size and maps in process: no process starts
-        sizes = []
+        # a stub pool records its size and its shutdowns and maps in process: no process starts
+        sizes, exits = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -629,6 +629,7 @@ class TestRunGrid:
                 return self
 
             def __exit__(self, *exc):
+                exits.append(exc[0])
                 return False
 
             def map(self, fn, iterable, chunksize=1):
@@ -654,6 +655,46 @@ class TestRunGrid:
             pooled = run_grid(config, workers=500)
             assert sizes == expected, cpus
             assert [a.tobytes() for a in serial.values()] == [a.tobytes() for a in pooled.values()]
+        # a run that raises reaches the caller, and the pool is still shut down, once
+        draw = experiment.draw_run
+
+        def failing_run_1(config, k, run):
+            if run == 1:
+                raise RuntimeError("run 1 failed")
+            return draw(config, k, run)
+
+        monkeypatch.setattr(experiment, "draw_run", failing_run_1)
+        exits.clear()
+        with pytest.raises(RuntimeError, match="^run 1 failed$"):
+            run_grid(config, workers=500)
+        assert exits == [RuntimeError]
+
+    @pytest.mark.parametrize("where", ["init", "map"])
+    def test_pool_that_cannot_start_is_refused_by_the_worker_count(self, monkeypatch, where):
+        # a fork past the process limit (EAGAIN) or a pipe past the file limit (EMFILE) fails in
+        # the pool's constructor or, as map starts every worker under fork, in map
+        error = OSError(24, "Too many open files") if where == "init" else BlockingIOError(11, "Resource unavailable")
+
+        class RefusingPool:
+            def __init__(self, max_workers):
+                if where == "init":
+                    raise error
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                raise error
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(experiment, "draw_run", lambda *args, **kwargs: pytest.fail("a run was drawn"))
+        with pytest.raises(ValueError, match="^workers: cannot start 2 worker processes: ") as refused:
+            run_grid(_tiny_config(runs=3), workers=2)
+        assert refused.value.__cause__ is error
 
     def test_bad_worker_count_rejected(self):
         # True is an int to Python, but no worker count
